@@ -49,10 +49,8 @@ class TaggedPtr {
     return a.bits_ == b.bits_;
   }
 
-  /// Raw representation, for index engines that keep slots in PMem and
-  /// need to write the value through the device (dirty-tracked).
+  /// Raw representation.
   uint64_t bits() const { return bits_; }
-  static TaggedPtr FromBits(uint64_t bits) { return TaggedPtr(bits); }
 
  private:
   friend class AtomicTaggedPtr;

@@ -30,31 +30,6 @@ std::string_view CachePolicyToString(CachePolicy policy) {
   return "unknown";
 }
 
-std::string_view KvEngineKindToString(KvEngineKind kind) {
-  switch (kind) {
-    case KvEngineKind::kUnorderedMap:
-      return "unordered";
-    case KvEngineKind::kFlat:
-      return "flat";
-    case KvEngineKind::kPmemBucket:
-      return "pmem-bucket";
-  }
-  return "unknown";
-}
-
-bool ParseKvEngineKind(std::string_view name, KvEngineKind* kind) {
-  if (name == "unordered") {
-    *kind = KvEngineKind::kUnorderedMap;
-  } else if (name == "flat") {
-    *kind = KvEngineKind::kFlat;
-  } else if (name == "pmem-bucket") {
-    *kind = KvEngineKind::kPmemBucket;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 DramStore::DramStore(const StoreConfig& config, ckpt::CheckpointLog* log)
     : config_(config),
       layout_(config.dim, config.optimizer.Slots()),

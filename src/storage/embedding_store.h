@@ -38,20 +38,6 @@ enum class CachePolicy : uint8_t {
 
 std::string_view CachePolicyToString(CachePolicy policy);
 
-/// Per-shard key -> slot index engine behind the pipelined store (see
-/// src/storage/kv_engine.h for the contract and DESIGN.md §5d for the
-/// race that picked the default).
-enum class KvEngineKind : uint8_t {
-  kUnorderedMap = 0,  // std::unordered_map baseline adapter
-  kFlat = 1,          // F14-style chunked flat DRAM table (adopted default)
-  kPmemBucket = 2,    // PetHash-style PMem bucket hash + DRAM tag mirror
-};
-
-std::string_view KvEngineKindToString(KvEngineKind kind);
-/// Parses "unordered" / "flat" / "pmem-bucket" (the names
-/// KvEngineKindToString returns). Returns false on unknown names.
-bool ParseKvEngineKind(std::string_view name, KvEngineKind* kind);
-
 /// Configuration shared by all engines. Per-engine knobs are ignored by
 /// engines that do not have the corresponding mechanism.
 struct StoreConfig {
@@ -101,20 +87,6 @@ struct StoreConfig {
 
   /// Bucket count for the PMem-resident hash table (PMem-Hash engine).
   uint64_t pmem_hash_buckets = 1 << 14;
-
-  /// Per-shard index engine of the pipelined store. kFlat won the
-  /// three-engine race in bench_micro_ops (EXPERIMENTS.md); the other two
-  /// stay selectable for A/B runs (`--engine` on the benches).
-  KvEngineKind kv_engine = KvEngineKind::kFlat;
-  /// kPmemBucket only: buckets per shard (256 B / 15 entries each),
-  /// rounded up to a power of two. The PMem bucket hash never grows or
-  /// relocates entries; Upserts beyond capacity fail with OutOfSpace.
-  uint64_t kv_pmem_buckets = 1 << 12;
-  /// Allocate entry records from the slab allocator (size-class slabs,
-  /// per-shard free-list lanes, bitmap + scan recovery; 2 persist events
-  /// per record) instead of the pool's exact-fit free lists (3 header
-  /// persists per record).
-  bool slab_alloc = true;
 
   /// Threads used by the pipelined engine's recovery scan. The paper notes
   /// recovery "can be further sped up by partitioning a single embedding

@@ -1,6 +1,7 @@
 #include "storage/pipelined_store.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "common/logging.h"
@@ -65,46 +66,34 @@ Result<std::unique_ptr<PipelinedStore>> PipelinedStore::Open(
   // recovery path (scan + discard-newer-than-checkpoint + index rebuild)
   // adopt the existing contents.
   OE_ASSIGN_OR_RETURN(store->pool_, pmem::PmemPool::Open(device));
+  // The slab scan never sees records under a retired tag: refuse the image
+  // (untouched) rather than recover an empty model from it.
+  for (uint64_t tag : {kRetiredRecordTag, kRetiredIndexTag}) {
+    uint64_t extents = 0;
+    store->pool_->ForEachAllocated(tag, [&](uint64_t, uint64_t) { ++extents; });
+    if (extents != 0) {
+      char hex[24];
+      std::snprintf(hex, sizeof(hex), "0x%llX",
+                    static_cast<unsigned long long>(tag));
+      return Status::FailedPrecondition(
+          "pool holds " + std::to_string(extents) + " extent(s) under retired "
+          "tag " + hex + " (per-record pool allocation or PMem bucket "
+          "index); this store reads slab-allocated records only");
+    }
+  }
   OE_RETURN_IF_ERROR(store->Init());
   OE_RETURN_IF_ERROR(store->RecoverFromCrash());
   return store;
-}
-
-Result<std::unique_ptr<KvEngine>> PipelinedStore::MakeShardEngine() {
-  KvEngineOptions options;
-  options.pool = pool_.get();
-  options.device = device_;
-  options.pmem_buckets = config_.kv_pmem_buckets;
-  options.bucket_extent_tag = kKvBucketTag;
-  return MakeKvEngine(config_.kv_engine, options);
-}
-
-Result<uint64_t> PipelinedStore::AllocRecord(const void* data, size_t size,
-                                             size_t shard) {
-  if (slab_ != nullptr) {
-    return slab_->AllocWrite(data, size, static_cast<uint32_t>(shard));
-  }
-  return pool_->AllocWrite(data, size, kEntryTag);
-}
-
-Status PipelinedStore::FreeRecord(uint64_t offset) {
-  if (slab_ != nullptr) return slab_->Free(offset);
-  return pool_->Free(offset);
 }
 
 Status PipelinedStore::Init() {
   if (pool_ == nullptr) {
     OE_ASSIGN_OR_RETURN(pool_, pmem::PmemPool::Create(device_));
   }
-  if (config_.slab_alloc) {
-    pmem::SlabAllocatorOptions slab_options;
-    slab_options.lanes = static_cast<uint32_t>(shards_.size());
-    OE_ASSIGN_OR_RETURN(slab_,
-                        pmem::SlabAllocator::Attach(pool_.get(), slab_options));
-  }
-  for (auto& sh : shards_) {
-    OE_ASSIGN_OR_RETURN(sh.index, MakeShardEngine());
-  }
+  pmem::SlabAllocatorOptions slab_options;
+  slab_options.lanes = static_cast<uint32_t>(shards_.size());
+  OE_ASSIGN_OR_RETURN(slab_,
+                      pmem::SlabAllocator::Attach(pool_.get(), slab_options));
   if (config_.cache_enabled) {
     cache_capacity_ = std::max<size_t>(
         1, config_.cache_bytes / layout_.record_bytes());
@@ -202,9 +191,7 @@ PipelinedStore::CacheEntry* PipelinedStore::CreateCachedEntryLocked(
   config_.initializer.Fill(key, entry->data.get(), config_.dim);
   dram_stats_.AddWrite(layout_.data_bytes());
   CacheEntry* raw = entry.get();
-  if (sh.index->Upsert(key, TaggedPtr::FromDram(raw)) == nullptr) {
-    return nullptr;  // fixed-capacity engine full; caller reports OutOfSpace
-  }
+  sh.index.Upsert(key, TaggedPtr::FromDram(raw));
   sh.cache_entries.emplace(key, std::move(entry));
   ++sh.fresh_entries;
   stats_.new_entries.fetch_add(1, std::memory_order_relaxed);
@@ -243,7 +230,7 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
       shard_keys[k] = keys[order[begin[s] + k]];
     }
     ReadGuard guard(sh.lock);
-    sh.index->FindBatch(shard_keys.data(), count, shard_slots.data());
+    sh.index.FindBatch(shard_keys.data(), count, shard_slots.data());
     for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
       const size_t i = order[j];
       cache::AtomicTaggedPtr* slot = shard_slots[j - begin[s]];
@@ -303,13 +290,10 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
     for (size_t j = m; j < m_end; ++j) {
       const size_t i = missing[j];
       const EntryId key = keys[i];
-      cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+      cache::AtomicTaggedPtr* slot = sh.index.Find(key);
       if (slot == nullptr) {
         if (config_.cache_enabled) {
           CacheEntry* entry = CreateCachedEntryLocked(s, key, batch);
-          if (entry == nullptr) {
-            return Status::OutOfSpace("kv engine index full");
-          }
           std::memcpy(out + i * config_.dim, entry->data.get(), weight_bytes);
           dram_stats_.AddRead(weight_bytes);
         } else {
@@ -357,11 +341,7 @@ Status PipelinedStore::PullPmemDirect(size_t shard, EntryId key,
   pmem::PersistSiteGuard site("direct-create");
   OE_ASSIGN_OR_RETURN(uint64_t offset,
                       AllocRecord(record.data(), record.size(), shard));
-  if (shards_[shard].index->Upsert(key, TaggedPtr::FromPmem(offset)) ==
-      nullptr) {
-    OE_CHECK_OK(FreeRecord(offset));
-    return Status::OutOfSpace("kv engine index full");
-  }
+  shards_[shard].index.Upsert(key, TaggedPtr::FromPmem(offset));
   stats_.new_entries.fetch_add(1, std::memory_order_relaxed);
   std::memcpy(out, EntryLayout::RecordData(record.data()),
               config_.dim * sizeof(float));
@@ -598,7 +578,7 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
   static const std::vector<CacheEntry*> kNoSkip;
 
   for (const EntryId key : keys) {
-    cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+    cache::AtomicTaggedPtr* slot = sh.index.Find(key);
     if (slot == nullptr) continue;  // evaporated (should not happen)
     const uint32_t f = by_freq ? sh.freq->Record(key) : 0;
     const TaggedPtr ptr = slot->load();
@@ -682,9 +662,7 @@ PipelinedStore::CacheEntry* PipelinedStore::LoadToDramLocked(
 
   CacheEntry* raw = entry.get();
   sh.cache_entries[key] = std::move(entry);
-  // The key is present (it was PMem-valued), so this is an in-place slot
-  // update and cannot hit the fixed-capacity ceiling.
-  OE_CHECK(sh.index->Upsert(key, TaggedPtr::FromDram(raw)) != nullptr);
+  sh.index.Upsert(key, TaggedPtr::FromDram(raw));
   sh.lru.PushFront(raw);
   return raw;
 }
@@ -823,10 +801,7 @@ void PipelinedStore::EvictIfNeededLocked(size_t shard) {
       }
     }
     if (sh.logged_victim == victim->key) sh.logged_victim = kNoVictim;
-    // Demotion is an in-place update of an existing slot, never a growth.
-    OE_CHECK(sh.index->Upsert(victim->key,
-                              TaggedPtr::FromPmem(victim->pmem_offset)) !=
-             nullptr);
+    sh.index.Upsert(victim->key, TaggedPtr::FromPmem(victim->pmem_offset));
     sh.lru.Remove(victim);
     sh.cache_entries.erase(victim->key);
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
@@ -865,7 +840,7 @@ Status PipelinedStore::Push(const EntryId* keys, size_t n, const float* grads,
       shard_keys[k] = keys[order[begin[s] + k]];
     }
     ReadGuard guard(sh.lock);
-    sh.index->FindBatch(shard_keys.data(), count, shard_slots.data());
+    sh.index.FindBatch(shard_keys.data(), count, shard_slots.data());
     for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
       const size_t i = order[j];
       const EntryId key = keys[i];
@@ -1069,19 +1044,6 @@ Status PipelinedStore::RecoverFromCrash() {
     limbo_.clear();
     std::fill(shard_acked_.begin(), shard_acked_.end(), cp);
   }
-  // Index engines are rebuilt from scratch: stale kPmemBucket extents from
-  // the pre-crash engines (whose DRAM mirrors are gone) are freed by tag,
-  // the slab allocator re-attaches to the reopened pool, and each shard
-  // gets a fresh engine. The record scan below is the authoritative state.
-  {
-    std::vector<uint64_t> stale_extents;
-    pool_->ForEachAllocated(kKvBucketTag, [&](uint64_t offset, uint64_t size) {
-      (void)size;
-      stale_extents.push_back(offset);
-    });
-    pmem::PersistSiteGuard site("recover-gc");
-    for (uint64_t offset : stale_extents) OE_CHECK_OK(pool_->Free(offset));
-  }
   // Routing-root hygiene: the root references at most one committed
   // ownership blob; any other kRouteTag extent is an orphan left by a
   // crash inside SetOwnedSlots (between the blob write and the root store,
@@ -1110,7 +1072,10 @@ Status PipelinedStore::RecoverFromCrash() {
     }
     route = std::move(owned).ValueOrDie();
   }
-  if (config_.slab_alloc) {
+  // The indexes are rebuilt from scratch: the slab allocator re-attaches to
+  // the reopened pool and each shard gets a fresh index. The record scan
+  // below is the authoritative state.
+  {
     pmem::SlabAllocatorOptions slab_options;
     slab_options.lanes = static_cast<uint32_t>(shards_.size());
     auto slab = pmem::SlabAllocator::Attach(pool_.get(), slab_options);
@@ -1121,12 +1086,7 @@ Status PipelinedStore::RecoverFromCrash() {
     slab_ = std::move(slab).ValueOrDie();
   }
   for (auto& shard : shards_) {
-    auto engine = MakeShardEngine();
-    if (!engine.ok()) {
-      release_all();
-      return engine.status();
-    }
-    shard.index = std::move(engine).ValueOrDie();
+    shard.index = FlatIndex{};
     // Unlink LRU nodes before the entries that embed them are freed.
     shard.lru.Clear();
     shard.cache_entries.clear();
@@ -1246,16 +1206,12 @@ Status PipelinedStore::RecoverFromCrash() {
   for (const auto& [key, b] : best) {
     per_shard[ShardOf(key)].emplace_back(key, b.offset);
   }
-  std::atomic<bool> rebuild_full{false};
   auto build = [&](size_t t, size_t stride) {
     for (size_t s = t; s < shards_.size(); s += stride) {
-      Shard& sh = shards_[s];
-      sh.index->Reserve(per_shard[s].size());
+      FlatIndex& index = shards_[s].index;
+      index.Reserve(per_shard[s].size());
       for (const auto& [key, offset] : per_shard[s]) {
-        if (sh.index->Upsert(key, TaggedPtr::FromPmem(offset)) == nullptr) {
-          rebuild_full.store(true, std::memory_order_relaxed);
-          return;
-        }
+        index.Upsert(key, TaggedPtr::FromPmem(offset));
         dram_stats_.AddWrite(sizeof(EntryId) + sizeof(TaggedPtr));
       }
     }
@@ -1273,10 +1229,6 @@ Status PipelinedStore::RecoverFromCrash() {
     for (auto& w : workers) w.join();
   }
   release_all();
-  if (rebuild_full.load(std::memory_order_relaxed)) {
-    return Status::OutOfSpace(
-        "kv engine index full during recovery rebuild");
-  }
   {
     // Training progress is now exactly the recovered checkpoint; without
     // this rewind a rollback deeper than one checkpoint interval would
@@ -1349,7 +1301,7 @@ Status PipelinedStore::ImportCheckpoint(const ckpt::CheckpointLog& log) {
     }
   };
   for (const auto& shard : shards_) {
-    if (shard.index->Size() != 0) {
+    if (shard.index.Size() != 0) {
       release_all();
       return Status::FailedPrecondition(
           "import requires a freshly created (empty) store");
@@ -1377,16 +1329,14 @@ Status PipelinedStore::ImportCheckpoint(const ckpt::CheckpointLog& log) {
           return;
         }
         const uint64_t offset = std::move(r).ValueOrDie();
-        KvEngine& index = *shards_[s].index;
+        FlatIndex& index = shards_[s].index;
         cache::AtomicTaggedPtr* slot = index.Find(key);
         if (slot != nullptr) {
           // Later chunks override earlier ones.
           OE_CHECK_OK(FreeRecord(slot->load().pmem_offset()));
           slot->store(TaggedPtr::FromPmem(offset));
-        } else if (index.Upsert(key, TaggedPtr::FromPmem(offset)) ==
-                   nullptr) {
-          OE_CHECK_OK(FreeRecord(offset));
-          status = Status::OutOfSpace("kv engine index full");
+        } else {
+          index.Upsert(key, TaggedPtr::FromPmem(offset));
         }
       });
   if (status.ok()) status = replay;
@@ -1501,7 +1451,7 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
   };
   std::vector<Item> items;
   for (auto& shard : shards_) {
-    shard.index->ForEach([&](EntryId key, TaggedPtr ptr) {
+    shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
       if (!slots[SlotOfKey(key)] || exclude.count(key) != 0) return;
       Item item{key, nullptr, kNullOffset, 0};
       if (ptr.is_dram()) {
@@ -1626,7 +1576,7 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
         if (!status.ok()) return;
         const size_t s = ShardOf(key);
         if (incoming.find(key) == incoming.end() &&
-            shards_[s].index->Find(key) != nullptr) {
+            shards_[s].index.Find(key) != nullptr) {
           // The key already lives here (a hot-replica copy, or an image
           // re-delivered after a partial import): the local copy wins.
           return;
@@ -1645,7 +1595,6 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
       });
   if (status.ok()) status = replay;
 
-  std::unordered_set<EntryId> installed;
   if (status.ok()) {
     for (auto& [key, records] : incoming) {
       // The newest record becomes the live head; an older one (the <= cp
@@ -1655,12 +1604,8 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
       for (size_t i = 1; i < records.size(); ++i) {
         if (records[i].version > records[newest].version) newest = i;
       }
-      KvEngine& index = *shards_[ShardOf(key)].index;
-      if (index.Upsert(key, TaggedPtr::FromPmem(records[newest].offset)) ==
-          nullptr) {
-        status = Status::OutOfSpace("kv engine index full during import");
-        break;
-      }
+      shards_[ShardOf(key)].index.Upsert(
+          key, TaggedPtr::FromPmem(records[newest].offset));
       {
         std::lock_guard<std::mutex> lock(ckpt_mutex_);
         for (size_t i = 0; i < records.size(); ++i) {
@@ -1670,26 +1615,19 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
               records[newest].version);
         }
       }
-      installed.insert(key);
       imported->push_back(key);
     }
-  }
-  if (!status.ok()) {
-    // Free records that never reached the index. Keys already installed are
-    // the caller's to roll back (RemoveKeys detaches their deferred records
-    // as well).
-    std::vector<uint64_t> leaked;
-    for (const auto& [key, records] : incoming) {
-      if (installed.count(key) != 0) continue;
-      for (const Incoming& r : records) leaked.push_back(r.offset);
-    }
+  } else {
+    // The import failed before any record reached the index: free them all.
     pmem::PersistSiteGuard site("migrate-gc");
-    for (uint64_t offset : leaked) {
-      Status freed = FreeRecord(offset);
-      // A record allocated after a simulated crash fault fired never got a
-      // committed header (device writes are suppressed); recovery rebuilds
-      // the allocator state, so the failed free is moot.
-      if (!freed.ok() && !device_->crashed()) OE_CHECK_OK(freed);
+    for (const auto& [key, records] : incoming) {
+      for (const Incoming& r : records) {
+        Status freed = FreeRecord(r.offset);
+        // A record allocated after a simulated crash fault fired never got
+        // its bitmap bit published (device writes are suppressed); recovery
+        // rebuilds the allocator state, so the failed free is moot.
+        if (!freed.ok() && !device_->crashed()) OE_CHECK_OK(freed);
+      }
     }
   }
   if (status.ok() &&
@@ -1717,7 +1655,7 @@ void PipelinedStore::DropKeysLocked(
   const uint64_t published = published_ckpt_.load(std::memory_order_acquire);
   for (const EntryId key : victims) {
     Shard& sh = shards_[ShardOf(key)];
-    cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+    cache::AtomicTaggedPtr* slot = sh.index.Find(key);
     if (slot == nullptr) continue;
     const TaggedPtr ptr = slot->load();
     uint64_t record_offset = kNullOffset;
@@ -1747,7 +1685,7 @@ void PipelinedStore::DropKeysLocked(
           EntryLayout::RecordVersion(pool_->Translate(record_offset));
       device_->ChargeRead(EntryLayout::kHeaderBytes);
     }
-    OE_CHECK(sh.index->Erase(key));
+    OE_CHECK(sh.index.Erase(key));
     if (record_offset == kNullOffset) continue;
     if (record_version <= published && pinned) {
       // Still the newest <=checkpoint record and a snapshot reader is in
@@ -1823,7 +1761,7 @@ Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
   };
   std::unordered_set<EntryId> victims;
   for (auto& shard : shards_) {
-    shard.index->ForEach([&](EntryId key, TaggedPtr ptr) {
+    shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
       (void)ptr;
       if (slots[SlotOfKey(key)] && keep.count(key) == 0) victims.insert(key);
     });
@@ -1842,7 +1780,7 @@ size_t PipelinedStore::EntryCount() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     ReadGuard guard(shard.lock);
-    total += shard.index->Size();
+    total += shard.index.Size();
   }
   return total;
 }
@@ -1868,7 +1806,7 @@ size_t PipelinedStore::PinnedEntries() const {
 bool PipelinedStore::IsDramCached(EntryId key) const {
   const Shard& sh = shards_[ShardOf(key)];
   ReadGuard guard(sh.lock);
-  cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+  const cache::AtomicTaggedPtr* slot = sh.index.Find(key);
   return slot != nullptr && slot->load().is_dram();
 }
 
@@ -1905,7 +1843,7 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
     }
     fallback.clear();
     ReadGuard guard(sh.lock);
-    sh.index->FindBatch(shard_keys.data(), count, shard_slots.data());
+    sh.index.FindBatch(shard_keys.data(), count, shard_slots.data());
     for (size_t j = begin[s]; j < begin[s + 1]; ++j) {
       const size_t i = order[j];
       cache::AtomicTaggedPtr* slot = shard_slots[j - begin[s]];
@@ -1990,7 +1928,7 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
 Result<std::vector<float>> PipelinedStore::Peek(EntryId key) const {
   const Shard& sh = shards_[ShardOf(key)];
   ReadGuard guard(sh.lock);
-  cache::AtomicTaggedPtr* slot = sh.index->Find(key);
+  const cache::AtomicTaggedPtr* slot = sh.index.Find(key);
   if (slot == nullptr) return Status::NotFound("no such key");
   std::vector<float> out(config_.dim);
   const TaggedPtr ptr = slot->load();

@@ -23,7 +23,7 @@
 #include "pmem/pool.h"
 #include "pmem/slab_allocator.h"
 #include "storage/embedding_store.h"
-#include "storage/kv_engine.h"
+#include "storage/flat_index.h"
 
 namespace oe::storage {
 
@@ -88,15 +88,14 @@ namespace oe::storage {
 /// releases its pin.
 class PipelinedStore final : public EmbeddingStore {
  public:
-  /// Pool root slot holding the Checkpointed Batch ID and the type tag of
-  /// entry records; public so crash-consistency harnesses can rescan the
-  /// pool independently of the DRAM index (see src/testing/crash_sim.h).
+  /// Pool root slot holding the Checkpointed Batch ID.
   static constexpr int kRootCheckpointId = 0;
-  static constexpr uint64_t kEntryTag = 0xE5;
-  /// Pool type tag of kPmemBucket index extents. Bucket contents are never
-  /// trusted across a crash: recovery frees every extent under this tag and
-  /// rebuilds fresh engines from the record scan.
-  static constexpr uint64_t kKvBucketTag = 0xE6;
+  /// Pool type tags that older stores wrote and this one cannot read:
+  /// per-record pool allocations of entry records, and PMem bucket-index
+  /// extents. Entry records live in slab extents only, so Open rejects
+  /// an image holding either tag instead of recovering an empty model.
+  static constexpr uint64_t kRetiredRecordTag = 0xE5;
+  static constexpr uint64_t kRetiredIndexTag = 0xE6;
   /// Pool root slot + type tag of the durable routing-ownership record
   /// (see SetOwnedSlots). Written lazily: a store that never participated
   /// in a migration has no routing root and recovers every record it finds
@@ -110,7 +109,8 @@ class PipelinedStore final : public EmbeddingStore {
 
   /// Attaches to a device that already holds a pool (e.g. a file-backed
   /// PMem image after a process restart) and recovers the model to its
-  /// latest published checkpoint instead of formatting.
+  /// latest published checkpoint instead of formatting. FailedPrecondition
+  /// if the pool holds extents under a retired tag.
   static Result<std::unique_ptr<PipelinedStore>> Open(
       const StoreConfig& config, pmem::PmemDevice* device);
 
@@ -251,22 +251,12 @@ class PipelinedStore final : public EmbeddingStore {
 
   pmem::PmemPool* pool() { return pool_.get(); }
 
-  /// The slab allocator serving entry records, or nullptr when
-  /// config.slab_alloc is off (records then come from the pool's exact-fit
-  /// lists).
-  pmem::SlabAllocator* slab() { return slab_.get(); }
-
-  /// Invokes `fn(offset, size)` for every committed entry record,
-  /// independent of the DRAM index: via the slab bitmaps when slab_alloc
-  /// is on, else via the pool's kEntryTag header walk. Crash harnesses
-  /// rescan through this instead of assuming a particular allocator.
+  /// Invokes `fn(offset, size)` for every committed entry record via the
+  /// slab bitmaps, independent of the DRAM index. Crash harnesses rescan
+  /// through this.
   template <typename Fn>
   void ForEachEntryRecord(Fn&& fn) const {
-    if (slab_ != nullptr) {
-      slab_->ForEachAllocated(std::forward<Fn>(fn));
-    } else {
-      pool_->ForEachAllocated(kEntryTag, std::forward<Fn>(fn));
-    }
+    slab_->ForEachAllocated(std::forward<Fn>(fn));
   }
 
  private:
@@ -286,9 +276,9 @@ class PipelinedStore final : public EmbeddingStore {
   /// under the shard read lock do not race FinishPullPhase's seal.
   struct Shard {
     mutable InstrumentedRwLock lock;
-    /// Key -> TaggedPtr engine (see kv_engine.h for the lock contract);
-    /// selected by config.kv_engine, recreated from scratch on recovery.
-    std::unique_ptr<KvEngine> index;
+    /// Key -> TaggedPtr index (see flat_index.h for the lock contract);
+    /// replaced by a fresh one on recovery.
+    FlatIndex index;
     std::unordered_map<EntryId, std::unique_ptr<CacheEntry>> cache_entries;
     cache::LruList<CacheEntry, &CacheEntry::lru> lru;
     size_t capacity = 0;  // this shard's slice of the cache budget
@@ -336,20 +326,15 @@ class PipelinedStore final : public EmbeddingStore {
   Status Init();
   void MaintainerLoop();
 
-  /// Builds one shard's index engine per config_.kv_engine (kPmemBucket
-  /// allocates its bucket array from the pool and can fail).
-  Result<std::unique_ptr<KvEngine>> MakeShardEngine();
-
-  /// Writes one entry record durably: through the slab allocator (lane =
-  /// `shard`, 2 persist events) when slab_alloc is on, else through the
-  /// pool's kEntryTag protocol (3 header persists).
-  Result<uint64_t> AllocRecord(const void* data, size_t size, size_t shard);
-  /// Releases an entry record to whichever allocator owns it.
-  Status FreeRecord(uint64_t offset);
+  /// Writes one entry record durably through the slab allocator (lane =
+  /// `shard`, 2 persist events).
+  Result<uint64_t> AllocRecord(const void* data, size_t size, size_t shard) {
+    return slab_->AllocWrite(data, size, static_cast<uint32_t>(shard));
+  }
+  /// Releases an entry record to the slab allocator.
+  Status FreeRecord(uint64_t offset) { return slab_->Free(offset); }
 
   // --- All *Locked methods require the write lock of shards_[shard]. ---
-  /// Returns nullptr when the shard's fixed-capacity engine is full
-  /// (callers surface OutOfSpace).
   CacheEntry* CreateCachedEntryLocked(size_t shard, EntryId key,
                                       uint64_t batch);
   void ProcessChunkLocked(size_t shard, uint64_t batch,
@@ -447,8 +432,7 @@ class PipelinedStore final : public EmbeddingStore {
   EntryLayout layout_;
   pmem::PmemDevice* device_;
   std::unique_ptr<pmem::PmemPool> pool_;
-  // Declared after pool_ (and before shards_) so destruction order is
-  // engines -> slab -> pool.
+  // Declared after pool_ so the slab is destroyed before the pool.
   std::unique_ptr<pmem::SlabAllocator> slab_;
   size_t cache_capacity_ = 0;
 

@@ -18,14 +18,14 @@ namespace oe::storage {
 /// DRAM-PS in the paper.
 ///
 /// This engine is a *deliberately unimproved* baseline and must stay that
-/// way: it exists so the paper's Table III gap (and our KvEngine race in
-/// EXPERIMENTS.md) is measured against the design the paper criticizes —
+/// way: it exists so the paper's Table III gap (and the shard-index race
+/// in EXPERIMENTS.md) is measured against the design the paper criticizes —
 /// chained buckets, a global mutex, per-record pool allocations, no
-/// fingerprints, no DRAM mirror. The modern replacements live behind the
-/// pipelined store's KvEngine layer (kv_pethash.h); do not backport them
-/// here. The one tunable is config.pmem_hash_buckets (chain length is the
-/// dominant cost — benchmarks sweep it down to 1 bucket to show the
-/// worst case).
+/// fingerprints, no DRAM mirror. The modern replacements are the pipelined
+/// store's flat DRAM index (flat_index.h) and slab record allocator; do not
+/// backport them here. The one tunable is config.pmem_hash_buckets (chain
+/// length is the dominant cost — benchmarks sweep it down to 1 bucket to
+/// show the worst case).
 ///
 /// Records chain per bucket:
 ///   [ next : u64 | key : u64 | version : u64 | data : f32[...] ]

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,8 @@ void ExpectAllOk(const CrashSim& sim,
 
 // Crash once at every persist event of a 3-checkpoint run and verify the
 // full recovery contract at each point.
-void EnumerateAllWithOptions(const CrashSimOptions& options) {
-  CrashSim sim(options);
+void EnumerateAllAtShards(uint32_t shards) {
+  CrashSim sim(BaseOptions(shards));
   ASSERT_TRUE(sim.CountEvents().ok());
   ASSERT_GE(sim.requested_checkpoints().size(), 3u);
   ASSERT_GT(sim.total_events(), 0u);
@@ -64,44 +65,31 @@ void EnumerateAllWithOptions(const CrashSimOptions& options) {
   EXPECT_EQ(results[first_publish - 2].published, 0u);
 }
 
-void EnumerateAllAtShards(uint32_t shards) {
-  EnumerateAllWithOptions(BaseOptions(shards));
-}
-
 TEST(CrashSimTest, EnumerateAllSingleShard) { EnumerateAllAtShards(1); }
 
 TEST(CrashSimTest, EnumerateAllSixteenShards) { EnumerateAllAtShards(16); }
 
-// The PMem-resident bucket-hash index adds its own persist sites
-// (kv-format / kv-upsert / kv-erase / kv-clear) on top of the slab
-// allocator's; every one of them must be a safe crash point. Recovery never
-// trusts the engine's PMem contents — it frees the bucket extents and
-// rebuilds from the record scan — so crashing mid-bucket-write must be
-// indistinguishable from crashing anywhere else.
-void EnumerateAllPmemBucketAtShards(uint32_t shards) {
-  CrashSimOptions options = BaseOptions(shards);
-  options.store.kv_engine = oe::storage::KvEngineKind::kPmemBucket;
-  options.store.kv_pmem_buckets = 64;  // fits the 4MB sim device x16 shards
-  EnumerateAllWithOptions(options);
-}
-
-TEST(CrashSimTest, EnumerateAllPmemBucketSingleShard) {
-  EnumerateAllPmemBucketAtShards(1);
-}
-
-TEST(CrashSimTest, EnumerateAllPmemBucketSixteenShards) {
-  EnumerateAllPmemBucketAtShards(16);
-}
-
-// Legacy configuration: per-record pool allocations (no slab) indexed by the
-// std::unordered_map engine — the pre-KvEngine persist schedule. Kept
-// enumerable so the old write-back path (alloc-header/commit-payload/
-// commit-header) stays a verified crash surface.
-TEST(CrashSimTest, EnumerateAllLegacyPoolUnorderedMap) {
-  CrashSimOptions options = BaseOptions(1);
-  options.store.slab_alloc = false;
-  options.store.kv_engine = oe::storage::KvEngineKind::kUnorderedMap;
-  EnumerateAllWithOptions(options);
+// The default config's persist schedule, pinned as its set of distinct
+// sites: slab record commits and frees plus the checkpoint publish. A
+// change that adds, renames or drops a persist site shows up here.
+TEST(CrashSimTest, DefaultConfigPersistSites) {
+  const std::set<std::string> want = {
+      "ckpt-gc/slab-free",
+      "ckpt-publish",
+      "write-back/slab-commit",
+      "write-back/slab-format/alloc-header",
+      "write-back/slab-format/commit-header",
+      "write-back/slab-format/commit-payload",
+      "write-back/slab-publish",
+  };
+  for (uint32_t shards : {1u, 16u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CrashSim sim(BaseOptions(shards));
+    ASSERT_TRUE(sim.CountEvents().ok());
+    const std::set<std::string> got(sim.event_sites().begin(),
+                                    sim.event_sites().end());
+    EXPECT_EQ(got, want);
+  }
 }
 
 // Crash-point enumeration under the frequency-aware cache policy with a
@@ -175,12 +163,13 @@ TEST(CrashSimTest, DroppedCheckpointGcFreeIsBenign) {
 }
 
 // Meta-test: the harness must *detect* a genuinely missed persist. Dropping
-// the payload-commit flush of the run's final write-back leaves a record
-// whose contents roll back at the crash — verification has to flag it.
-// This is what distinguishes the suite from one that trivially passes.
-void ExpectDroppedWriteBackDetected(const CrashSimOptions& options,
-                                    const std::string& commit_site) {
-  CrashSim sim(options);
+// the payload-commit flush of the run's final write-back (the "slab-commit"
+// leg of the slab allocator's two-persist protocol) leaves a record whose
+// contents roll back at the crash — verification has to flag it. This is
+// what distinguishes the suite from one that trivially passes.
+TEST(CrashSimTest, DroppedWriteBackCommitIsDetected) {
+  const std::string commit_site = "write-back/slab-commit";
+  CrashSim sim(BaseOptions(1));
   ASSERT_TRUE(sim.CountEvents().ok());
   int commits = 0;
   for (const auto& site : sim.event_sites()) {
@@ -196,21 +185,6 @@ void ExpectDroppedWriteBackDetected(const CrashSimOptions& options,
   EXPECT_EQ(res.value().fault.kind, 'd');
   EXPECT_FALSE(res.value().ok())
       << "a dropped payload persist went undetected by the invariant checks";
-}
-
-// Default config: records come from the slab allocator, whose payload
-// persist is the "slab-commit" leg of the two-persist protocol.
-TEST(CrashSimTest, DroppedWriteBackCommitIsDetected) {
-  ExpectDroppedWriteBackDetected(BaseOptions(1), "write-back/slab-commit");
-}
-
-// Legacy config: per-record pool allocations persist the payload under
-// "commit-payload". The detector must keep working for that path too.
-TEST(CrashSimTest, DroppedWriteBackCommitIsDetectedLegacyPool) {
-  CrashSimOptions options = BaseOptions(1);
-  options.store.slab_alloc = false;
-  options.store.kv_engine = oe::storage::KvEngineKind::kUnorderedMap;
-  ExpectDroppedWriteBackDetected(options, "write-back/commit-payload");
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Engine-matrix stress: the synchronous training protocol (concurrent
+// Shard-index stress: the synchronous training protocol (concurrent
 // pulls, then concurrent pushes + checkpoint requests, maintainer threads
-// draining in parallel) run against every KvEngine kind and both record
-// allocators. SGD with a constant gradient is order-independent, so the
-// concurrent store must land bit-exactly on the serial replay no matter
-// which index implementation sits under the shard locks. Built to run
-// under ThreadSanitizer (ctest -L tsan) and AddressSanitizer.
+// draining in parallel) run against the flat shard index and the slab
+// record allocator. SGD with a constant gradient is order-independent, so
+// the concurrent store must land bit-exactly on the serial replay. Built
+// to run under ThreadSanitizer (ctest -L tsan) and AddressSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,7 +27,6 @@ using pmem::PmemDeviceOptions;
 using storage::EntryId;
 using storage::InitializerKind;
 using storage::InitializerSpec;
-using storage::KvEngineKind;
 using storage::OptimizerKind;
 using storage::PipelinedStore;
 using storage::StoreConfig;
@@ -43,17 +40,7 @@ constexpr uint64_t kUniverse = 96;
 constexpr uint64_t kHot = 6;
 constexpr int kCold = 16;
 
-struct MatrixPoint {
-  KvEngineKind engine;
-  bool slab_alloc;
-};
-
-std::string PointName(const MatrixPoint& p) {
-  return std::string(KvEngineKindToString(p.engine)) +
-         (p.slab_alloc ? "+slab" : "+pool");
-}
-
-StoreConfig MatrixConfig(const MatrixPoint& p) {
+StoreConfig StressConfig() {
   StoreConfig config;
   config.dim = kDim;
   config.optimizer.kind = OptimizerKind::kSgd;
@@ -63,9 +50,6 @@ StoreConfig MatrixConfig(const MatrixPoint& p) {
   config.cache_bytes = 4 * 1024;  // tiny: constant evictions + PMem pushes
   config.store_shards = 8;
   config.maintainer_threads = 2;
-  config.kv_engine = p.engine;
-  config.kv_pmem_buckets = 256;  // per shard; plenty for 96 keys
-  config.slab_alloc = p.slab_alloc;
   return config;
 }
 
@@ -91,14 +75,13 @@ std::vector<float> ExpectedWeights(const InitializerSpec& init, EntryId key,
   return w;
 }
 
-void RunMatrixPoint(const MatrixPoint& point) {
-  SCOPED_TRACE(PointName(point));
+TEST(ShardIndexStressTest, FlatIndexWithSlabAllocator) {
   PmemDeviceOptions dopts;
   dopts.size_bytes = 32 << 20;
   dopts.crash_fidelity = CrashFidelity::kStrict;
   auto device = PmemDevice::Create(dopts).ValueOrDie();
   auto store =
-      PipelinedStore::Create(MatrixConfig(point), device.get()).ValueOrDie();
+      PipelinedStore::Create(StressConfig(), device.get()).ValueOrDie();
   const InitializerSpec init = store->config().initializer;
 
   // Precompute key sets and cumulative push counts so workers verify
@@ -163,8 +146,8 @@ void RunMatrixPoint(const MatrixPoint& point) {
   ASSERT_TRUE(store->DrainCheckpoints().ok());
   EXPECT_GT(store->PublishedCheckpoint(), 0u);
 
-  // Any lost update — stale slot read, torn pointer, dropped COW, a bucket
-  // probe landing on the wrong slot — shows up as a wrong final weight.
+  // Any lost update — stale slot read, torn pointer, dropped COW, a probe
+  // landing on the wrong slot — shows up as a wrong final weight.
   const auto& final_count = count_before[kBatches + 1];
   size_t touched = 0;
   for (EntryId key = 0; key < kUniverse; ++key) {
@@ -181,26 +164,6 @@ void RunMatrixPoint(const MatrixPoint& point) {
     }
   }
   EXPECT_EQ(store->EntryCount(), touched);
-}
-
-TEST(KvEngineStressTest, UnorderedMapWithPoolAllocator) {
-  RunMatrixPoint({KvEngineKind::kUnorderedMap, /*slab_alloc=*/false});
-}
-
-TEST(KvEngineStressTest, UnorderedMapWithSlabAllocator) {
-  RunMatrixPoint({KvEngineKind::kUnorderedMap, /*slab_alloc=*/true});
-}
-
-TEST(KvEngineStressTest, FlatWithSlabAllocator) {
-  RunMatrixPoint({KvEngineKind::kFlat, /*slab_alloc=*/true});
-}
-
-TEST(KvEngineStressTest, FlatWithPoolAllocator) {
-  RunMatrixPoint({KvEngineKind::kFlat, /*slab_alloc=*/false});
-}
-
-TEST(KvEngineStressTest, PmemBucketWithSlabAllocator) {
-  RunMatrixPoint({KvEngineKind::kPmemBucket, /*slab_alloc=*/true});
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "ckpt/checkpoint_log.h"
 #include "common/random.h"
+#include "pmem/pool.h"
 #include "storage/ori_cache_store.h"
 #include "storage/pipelined_store.h"
 #include "storage/pmem_hash_store.h"
@@ -43,6 +44,41 @@ void TrainBatch(EmbeddingStore* store, uint64_t batch,
 TEST(PipelinedRestartTest, OpenRejectsUnformattedDevice) {
   auto device = MakeDevice({.size_bytes = 8 << 20});
   EXPECT_FALSE(PipelinedStore::Open(SmallConfig(), device.get()).ok());
+}
+
+// An image whose records sit in per-record pool allocations (tag 0xE5) or
+// that holds a PMem bucket-index extent (tag 0xE6) was written by an older
+// store. The slab scan would never see those records, so Open must refuse
+// the image, name the tag, and leave the image as it was.
+TEST(PipelinedRestartTest, OpenRejectsRetiredPoolTags) {
+  for (uint64_t tag : {PipelinedStore::kRetiredRecordTag,
+                       PipelinedStore::kRetiredIndexTag}) {
+    SCOPED_TRACE("tag=" + std::to_string(tag));
+    auto device = MakeDevice({.size_bytes = 8 << 20});
+    {
+      auto pool = pmem::PmemPool::Create(device.get()).ValueOrDie();
+      const EntryLayout layout(kDim, SmallConfig().optimizer.Slots());
+      std::vector<uint8_t> record(layout.record_bytes(), 0);
+      EntryLayout::SetRecordHeader(record.data(), /*key=*/7, /*version=*/1);
+      ASSERT_TRUE(
+          pool->AllocWrite(record.data(), record.size(), tag).ok());
+      pool->RootSet(PipelinedStore::kRootCheckpointId, 1);
+    }
+    auto opened = PipelinedStore::Open(SmallConfig(), device.get());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+    const std::string want = tag == PipelinedStore::kRetiredRecordTag
+                                 ? "0xE5"
+                                 : "0xE6";
+    EXPECT_NE(std::string(opened.status().message()).find(want),
+              std::string::npos)
+        << opened.status().ToString();
+
+    auto pool = pmem::PmemPool::Open(device.get()).ValueOrDie();
+    int records = 0;
+    pool->ForEachAllocated(tag, [&](uint64_t, uint64_t) { ++records; });
+    EXPECT_EQ(records, 1) << "the refused image must stay untouched";
+  }
 }
 
 TEST(PipelinedRestartTest, FileBackedRestartRestoresCheckpoint) {
