@@ -7,16 +7,14 @@
 //  2. No LRU update on gradient push (pull/update pairs touch the same
 //     keys): PMem-OE performs ~half the LRU operations the black-box
 //     Ori-Cache pays for the identical workload.
-//  3. Parallel recovery (Section VI-E): recovery scan/classify work
-//     partitions across threads; the model projects the paper-scale
-//     recovery time at 1-8 threads.
+//  3. Parallel recovery (Section VI-E), as an analytic projection only:
+//     the store recovers on one thread; the model projects the paper-scale
+//     recovery time if scan/classify work partitioned across 1-8 threads.
 
 #include <cstdio>
 #include <numeric>
 
 #include "bench/bench_util.h"
-#include "ckpt/checkpoint_log.h"
-#include "ckpt/quantized_snapshot.h"
 #include "storage/ori_cache_store.h"
 #include "storage/pipelined_store.h"
 
@@ -132,28 +130,9 @@ void LruOnPushAblation() {
                   static_cast<double>(oe_lru_ops));
 }
 
-void QuantizedBackupAblation() {
-  std::printf("\n[4] quantized remote backup (Check-N-Run [6] technique, "
-              "dim-64 entries)\n");
-  oe::storage::EntryLayout layout(64, 0);
-  PmemDeviceOptions options;
-  options.size_bytes = 8 << 20;
-  options.crash_fidelity = CrashFidelity::kNone;
-  auto device = PmemDevice::Create(options).ValueOrDie();
-  oe::ckpt::QuantizedSnapshot snapshot(device.get(), layout);
-  const double raw = static_cast<double>(layout.record_bytes());
-  const double quantized =
-      static_cast<double>(snapshot.QuantizedRecordBytes());
-  std::printf("    raw float record:     %4.0f B\n", raw);
-  std::printf("    8-bit quantized:      %4.0f B (%.2fx smaller)\n",
-              quantized, raw / quantized);
-  std::printf("    500 GB checkpoint shipped to remote storage: %.0f GB\n",
-              500.0 * quantized / raw);
-}
-
 void ParallelRecoveryAblation() {
-  std::printf("\n[3] parallel recovery scan (paper-scale projection, 2.1B "
-              "records)\n");
+  std::printf("\n[3] parallel recovery scan (analytic projection, not "
+              "measured; 2.1B records)\n");
   // Per-record costs from the Fig. 14 model; scan bandwidth and insert
   // work parallelize across recovery threads, the sequential heap walk
   // (~10%% of the work) does not (Amdahl).
@@ -179,6 +158,5 @@ int main(int argc, char** argv) {
   VersionGatedFlushAblation();
   LruOnPushAblation();
   ParallelRecoveryAblation();
-  QuantizedBackupAblation();
   return 0;
 }

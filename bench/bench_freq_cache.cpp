@@ -110,7 +110,7 @@ RunStats RunPolicy(const BenchParams& params, SkewPreset preset,
 
   std::sort(pull_us.begin(), pull_us.end());
   RunStats stats;
-  stats.hit_rate = store->stats().HitRate();
+  stats.hit_rate = store->stats_snapshot().HitRate();
   stats.p99_pull_us =
       pull_us[std::min(pull_us.size() - 1, (pull_us.size() * 99) / 100)];
   stats.admission_rejects = store->stats().admission_rejects.load();

@@ -1,83 +1,87 @@
-// Quickstart: the OpenEmbedding public API in one file.
+// Quickstart: the OpenEmbedding parameter server in one file.
 //
-// Creates a 2-shard PMem-backed embedding parameter server, runs a few
-// synchronous training batches (pull -> compute -> push), takes a
-// lightweight batch-aware checkpoint, crashes the simulated PMem devices,
-// and recovers to exactly the checkpointed state.
+// Creates a 2-node PMem-backed embedding parameter server, runs a few
+// synchronous training batches (pull -> compute -> push) through its
+// client, takes a lightweight batch-aware checkpoint, crashes the
+// simulated PMem devices, and recovers to exactly the checkpointed state.
+// Exits non-zero unless the recovered weight equals the checkpointed one.
 
 #include <cstdio>
 #include <numeric>
 #include <vector>
 
-#include "core/openembedding.h"
+#include "ps/ps_cluster.h"
 
 int main() {
-  oe::OpenEmbeddingOptions options;
-  options.embedding_dim = 16;
-  options.num_shards = 2;
-  options.optimizer.kind = oe::storage::OptimizerKind::kAdaGrad;
-  options.optimizer.learning_rate = 0.05f;
-  options.cache_bytes_per_shard = 1 << 20;
+  oe::ps::ClusterOptions options;
+  options.num_nodes = 2;
+  options.store.dim = 16;
+  options.store.optimizer.kind = oe::storage::OptimizerKind::kAdaGrad;
+  options.store.optimizer.learning_rate = 0.05f;
+  options.store.cache_bytes = 1 << 20;
+  // Strict crash fidelity: a simulated crash drops every non-durable write.
+  options.crash_fidelity = oe::pmem::CrashFidelity::kStrict;
 
-  auto created = oe::OpenEmbedding::Create(options);
+  auto created = oe::ps::PsCluster::Create(options);
   if (!created.ok()) {
     std::fprintf(stderr, "create failed: %s\n",
                  created.status().ToString().c_str());
     return 1;
   }
-  auto oe = std::move(created).ValueOrDie();
-  std::printf("OpenEmbedding up: %u shards, dim %u\n", options.num_shards,
-              oe->embedding_dim());
+  auto cluster = std::move(created).ValueOrDie();
+  oe::ps::PsClient& ps = cluster->client();
+  std::printf("OpenEmbedding up: %u nodes, dim %u\n", options.num_nodes,
+              options.store.dim);
 
   const size_t kKeys = 64;
   std::vector<uint64_t> keys(kKeys);
   std::iota(keys.begin(), keys.end(), 1000);
-  std::vector<float> weights(kKeys * options.embedding_dim);
-  std::vector<float> grads(kKeys * options.embedding_dim);
+  std::vector<float> weights(kKeys * options.store.dim);
+  std::vector<float> grads(kKeys * options.store.dim);
 
   // --- A few synchronous training batches ---
   for (uint64_t batch = 1; batch <= 5; ++batch) {
     // Batch start: burst-pull the embeddings this batch touches.
-    if (!oe->Pull(keys.data(), keys.size(), batch, weights.data()).ok()) {
+    if (!ps.Pull(keys.data(), keys.size(), batch, weights.data()).ok()) {
       return 1;
     }
     // All pulls issued; deferred cache maintenance overlaps our "GPU"
     // compute below.
-    (void)oe->FinishPullPhase(batch);
+    (void)ps.FinishPullPhase(batch);
 
     // Fake compute: gradient = 0.1 * weight (decay toward zero).
     for (size_t i = 0; i < grads.size(); ++i) grads[i] = 0.1f * weights[i];
 
     // Batch end: burst-push gradients; the server applies AdaGrad.
-    if (!oe->Push(keys.data(), keys.size(), grads.data(), batch).ok()) {
+    if (!ps.Push(keys.data(), keys.size(), grads.data(), batch).ok()) {
       return 1;
     }
     std::printf("batch %llu done, first weight now %.5f\n",
                 static_cast<unsigned long long>(batch),
-                oe->Peek(keys[0]).ValueOrDie()[0]);
+                ps.Peek(keys[0]).ValueOrDie()[0]);
   }
 
   // --- Lightweight checkpoint: the request is just an enqueue ---
-  (void)oe->Checkpoint(5);
-  (void)oe->Flush();  // end-of-run: force publication
+  (void)ps.RequestCheckpoint(5);
+  (void)ps.DrainCheckpoints();  // end-of-run: force publication
   std::printf("checkpoint published at batch %llu\n",
               static_cast<unsigned long long>(
-                  oe->LatestCheckpoint().ValueOrDie()));
-  const float at_checkpoint = oe->Peek(keys[0]).ValueOrDie()[0];
+                  ps.ClusterCheckpoint().ValueOrDie()));
+  const float at_checkpoint = ps.Peek(keys[0]).ValueOrDie()[0];
 
   // --- One more batch that will be lost, then a crash ---
-  (void)oe->Pull(keys.data(), keys.size(), 6, weights.data());
-  (void)oe->FinishPullPhase(6);
-  (void)oe->Push(keys.data(), keys.size(), grads.data(), 6);
+  (void)ps.Pull(keys.data(), keys.size(), 6, weights.data());
+  (void)ps.FinishPullPhase(6);
+  (void)ps.Push(keys.data(), keys.size(), grads.data(), 6);
   std::printf("post-checkpoint update: first weight %.5f\n",
-              oe->Peek(keys[0]).ValueOrDie()[0]);
+              ps.Peek(keys[0]).ValueOrDie()[0]);
 
-  oe->SimulateCrash();
-  if (!oe->Recover().ok()) return 1;
-  const float recovered = oe->Peek(keys[0]).ValueOrDie()[0];
+  cluster->SimulateCrashAll();
+  if (!ps.Recover().ok()) return 1;
+  const float recovered = ps.Peek(keys[0]).ValueOrDie()[0];
   std::printf("recovered: first weight %.5f (checkpoint had %.5f)\n",
               recovered, at_checkpoint);
   std::printf("entries after recovery: %llu\n",
-              static_cast<unsigned long long>(oe->Size().ValueOrDie()));
+              static_cast<unsigned long long>(ps.TotalEntries().ValueOrDie()));
   return recovered == at_checkpoint ? 0 : 1;
 }

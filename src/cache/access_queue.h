@@ -9,67 +9,13 @@
 
 namespace oe::cache {
 
-/// The paper's Access Queue (Fig. 5): pull handlers append the entries
-/// accessed in a batch; cache maintainer threads pop them later, overlapped
-/// with GPU compute. Multi-producer, multi-consumer, batch-granular.
-template <typename Item>
-class AccessQueue {
- public:
-  /// Appends one producer's accesses for `batch`.
-  void Append(uint64_t batch, std::vector<Item> items) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Chunk{batch, std::move(items)});
-    cv_.notify_one();
-  }
-
-  /// Pops the oldest chunk; blocks until one is available or Close().
-  /// Returns false when closed and drained.
-  bool Pop(uint64_t* batch, std::vector<Item>* items) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return false;
-    *batch = queue_.front().batch;
-    *items = std::move(queue_.front().items);
-    queue_.pop_front();
-    return true;
-  }
-
-  /// Non-blocking pop.
-  bool TryPop(uint64_t* batch, std::vector<Item>* items) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (queue_.empty()) return false;
-    *batch = queue_.front().batch;
-    *items = std::move(queue_.front().items);
-    queue_.pop_front();
-    return true;
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-    cv_.notify_all();
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-  }
-
- private:
-  struct Chunk {
-    uint64_t batch;
-    std::vector<Item> items;
-  };
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Chunk> queue_;
-  bool closed_ = false;
-};
-
-/// Shard-aware dispatch for the lock-striped pipelined store: chunks are
-/// queued per shard, and Pop hands out the oldest chunk of any shard that is
-/// not currently being processed. Maintainer threads therefore drain
+/// The paper's Access Queue (Fig. 5), shard-aware for the lock-striped
+/// pipelined store: pull handlers stage the entries accessed in a batch,
+/// the seal appends them as one chunk per shard, and cache maintainer
+/// threads pop them later, overlapped with GPU compute.
+///
+/// Chunks are queued per shard, and Pop hands out the oldest chunk of any
+/// shard that is not currently being processed. Maintainer threads drain
 /// *different* shards concurrently while each shard's chunks stay strictly
 /// FIFO (the per-shard in-order requirement of Algorithm 2 — batch b's
 /// maintenance must observe batch b-1's LRU/flush state).
@@ -82,12 +28,22 @@ class ShardedAccessQueue {
  public:
   explicit ShardedAccessQueue(size_t shards) : shards_(shards) {}
 
-  /// Appends one sealed batch's accesses for `shard`.
-  void Append(size_t shard, uint64_t batch, std::vector<Item> items) {
+  /// Appends one sealed batch: `chunks[s]` holds shard s's accesses (one
+  /// entry per shard; empty ones are skipped). Every chunk of the seal is
+  /// queued under one lock and waiters are woken once, so a consumer never
+  /// observes a partly queued seal — with a single maintainer the pop
+  /// order is then a function of the seals alone.
+  void Append(uint64_t batch, std::vector<std::vector<Item>> chunks) {
     std::lock_guard<std::mutex> lock(mutex_);
-    shards_[shard].chunks.push_back(Chunk{batch, std::move(items)});
-    ++queued_;
-    cv_.notify_one();
+    size_t appended = 0;
+    for (size_t s = 0; s < chunks.size(); ++s) {
+      if (chunks[s].empty()) continue;
+      shards_[s].chunks.push_back(Chunk{batch, std::move(chunks[s])});
+      ++appended;
+    }
+    if (appended == 0) return;
+    queued_ += appended;
+    cv_.notify_all();
   }
 
   /// Pops the oldest chunk of an idle shard, marking the shard busy; blocks

@@ -1,7 +1,6 @@
 #ifndef OE_COMMON_CLOCK_H_
 #define OE_COMMON_CLOCK_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -17,48 +16,6 @@ inline Nanos WallNowNanos() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Clock interface so components can run against either real time or the
-/// deterministic simulation clock.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  virtual Nanos NowNanos() const = 0;
-};
-
-/// Real monotonic clock.
-class WallClock final : public Clock {
- public:
-  Nanos NowNanos() const override { return WallNowNanos(); }
-};
-
-/// Manually-advanced clock for deterministic tests and simulation.
-class ManualClock final : public Clock {
- public:
-  Nanos NowNanos() const override {
-    return now_.load(std::memory_order_acquire);
-  }
-  void Advance(Nanos delta) {
-    now_.fetch_add(delta, std::memory_order_acq_rel);
-  }
-  void Set(Nanos t) { now_.store(t, std::memory_order_release); }
-
- private:
-  std::atomic<Nanos> now_{0};
-};
-
-/// Simple scope timer against the wall clock.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Nanos* out) : out_(out), start_(WallNowNanos()) {}
-  ~ScopedTimer() { *out_ += WallNowNanos() - start_; }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Nanos* out_;
-  Nanos start_;
-};
 
 }  // namespace oe
 

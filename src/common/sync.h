@@ -139,31 +139,6 @@ class Barrier {
   std::condition_variable cv_;
 };
 
-/// One-shot event: Set() releases all current and future Wait() callers.
-class Event {
- public:
-  void Set() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    set_ = true;
-    cv_.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return set_; });
-  }
-
-  bool IsSet() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return set_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool set_ = false;
-};
-
 }  // namespace oe
 
 #endif  // OE_COMMON_SYNC_H_

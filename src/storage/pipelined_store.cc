@@ -10,6 +10,69 @@ namespace oe::storage {
 
 using cache::TaggedPtr;
 
+namespace {
+
+// kFreqAware policy constants (DESIGN.md §5c).
+// Per-shard count-min sketch width (counters per row; 4 rows of saturating
+// 8-bit counters).
+constexpr uint32_t kFreqCounters = 1 << 12;
+// Halve every frequency counter after this many maintenance batches per
+// shard: the periodic decay that lets stale hot keys cool off.
+constexpr uint64_t kFreqDecayBatches = 64;
+// At most this fraction of a shard's cache capacity may be pinned, so
+// eviction always has an unpinned victim available.
+constexpr double kHotPinFraction = 0.5;
+// Victim search window: the lowest-frequency entry among this many LRU-tail
+// candidates is evicted.
+constexpr uint32_t kEvictWindow = 8;
+
+// Records per CheckpointLog chunk written by backups and migration images.
+constexpr size_t kChunkRecords = 4096;
+
+/// Buffers consecutive entry records and appends them to a CheckpointLog in
+/// chunks of kChunkRecords, every chunk tagged with one batch id.
+class RecordChunkWriter {
+ public:
+  RecordChunkWriter(ckpt::CheckpointLog* log, uint64_t batch,
+                    size_t record_bytes)
+      : log_(log),
+        batch_(batch),
+        record_bytes_(record_bytes),
+        buffer_(kChunkRecords * record_bytes) {}
+
+  /// Space for the next record (record_bytes, filled by the caller); a
+  /// full buffer is appended to the log first.
+  uint8_t* Next() {
+    if (buffered_ == kChunkRecords) Flush();
+    return buffer_.data() + buffered_++ * record_bytes_;
+  }
+
+  /// False once an append failed; nothing is appended after that.
+  bool ok() const { return status_.ok(); }
+
+  /// Appends the buffered tail; returns the first append error, if any.
+  Status Finish() {
+    Flush();
+    return status_;
+  }
+
+ private:
+  void Flush() {
+    if (buffered_ > 0 && status_.ok()) {
+      status_ = log_->AppendChunk(batch_, buffer_.data(), buffered_);
+    }
+    buffered_ = 0;
+  }
+
+  ckpt::CheckpointLog* log_;
+  const uint64_t batch_;
+  const size_t record_bytes_;
+  std::vector<uint8_t> buffer_;
+  size_t buffered_ = 0;
+  Status status_ = Status::OK();
+};
+
+}  // namespace
 
 size_t PipelinedStore::ShardCount(const StoreConfig& config) {
   return static_cast<size_t>(std::max(1, config.store_shards));
@@ -111,7 +174,7 @@ Status PipelinedStore::Init() {
   if (config_.cache_enabled &&
       config_.cache_policy == CachePolicy::kFreqAware) {
     for (auto& sh : shards_) {
-      sh.freq = std::make_unique<cache::FreqEstimator>(config_.freq_counters);
+      sh.freq = std::make_unique<cache::FreqEstimator>(kFreqCounters);
     }
   }
   const uint64_t cp = pool_->RootGet(kRootCheckpointId);
@@ -372,11 +435,7 @@ void PipelinedStore::FinishPullPhase(uint64_t batch) {
       appended_chunks_ += nonempty;
       sealed_batch_ = std::max(sealed_batch_, batch);
     }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!chunks[s].empty()) {
-        access_queue_.Append(s, batch, std::move(chunks[s]));
-      }
-    }
+    access_queue_.Append(batch, std::move(chunks));
     if (nonempty == 0) maint_cv_.notify_all();
   } else {
     // Ablation mode (Fig. 9): maintenance on the critical path.
@@ -522,6 +581,22 @@ void PipelinedStore::DeferRecordLocked(const DeferredRecord& record,
   }
 }
 
+uint64_t PipelinedStore::SnapshotRecordAtLocked(EntryId key,
+                                               uint64_t cp) const {
+  auto it = snapshot_index_.find(key);
+  if (it == snapshot_index_.end()) return kNullOffset;
+  uint64_t offset = kNullOffset;
+  uint64_t best_version = 0;
+  for (const SnapshotRecord& record : it->second) {
+    if (record.version <= cp &&
+        (offset == kNullOffset || record.version > best_version)) {
+      offset = record.offset;
+      best_version = record.version;
+    }
+  }
+  return offset;
+}
+
 size_t PipelinedStore::SnapshotIndexRecords() const {
   std::lock_guard<std::mutex> lock(ckpt_mutex_);
   size_t total = 0;
@@ -621,14 +696,8 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
       EvictIfNeededLocked(shard);
     }
   }
-  if (by_freq) {
-    ++sh.maint_batches;
-    if (config_.freq_decay_batches > 0 &&
-        sh.maint_batches %
-                static_cast<uint64_t>(config_.freq_decay_batches) ==
-            0) {
-      sh.freq->Decay();
-    }
+  if (by_freq && ++sh.maint_batches % kFreqDecayBatches == 0) {
+    sh.freq->Decay();
   }
   // Cache health gauges (DESIGN.md §9); cheap atomic reads, refreshed once
   // per chunk rather than per key.
@@ -709,9 +778,8 @@ Status PipelinedStore::FlushEntryLocked(size_t shard, CacheEntry* entry) {
 
 size_t PipelinedStore::PinCapacity(const Shard& sh) const {
   if (sh.capacity == 0) return 0;
-  const double frac = std::clamp(config_.hot_pin_fraction, 0.0, 1.0);
   const auto cap =
-      static_cast<size_t>(frac * static_cast<double>(sh.capacity));
+      static_cast<size_t>(kHotPinFraction * static_cast<double>(sh.capacity));
   // Always leave at least one unpinned slot so eviction can make progress.
   return std::min(cap, sh.capacity - 1);
 }
@@ -738,11 +806,10 @@ PipelinedStore::CacheEntry* PipelinedStore::PickVictimLocked(
     size_t shard, const std::vector<CacheEntry*>& skip) {
   Shard& sh = shards_[shard];
   const bool by_freq = sh.freq != nullptr;
-  const uint32_t window = std::max<uint32_t>(1, config_.evict_window);
   CacheEntry* best = nullptr;
   uint32_t best_freq = 0;
   uint32_t examined = 0;
-  for (CacheEntry* e = sh.lru.Tail(); e != nullptr && examined < window;
+  for (CacheEntry* e = sh.lru.Tail(); e != nullptr && examined < kEvictWindow;
        e = sh.lru.MoreRecent(e), ++examined) {
     if (e->pinned) {
       // Lazy unpin: a pinned entry that drifted into the victim window has
@@ -980,21 +1047,16 @@ Status PipelinedStore::DrainCheckpoints() {
     maint_cv_.wait(lock,
                    [&] { return processed_chunks_ == appended_chunks_; });
   }
-  // Ascending order, per the multi-shard lock protocol.
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  Status status = Status::OK();
+  AllShardsWriteLock all(shards_);
   uint64_t cp = 0;
-  while (status.ok() && PendingHead(&cp)) {
+  while (PendingHead(&cp)) {
     for (size_t s = 0; s < shards_.size(); ++s) {
       for (auto& [key, entry] : shards_[s].cache_entries) {
         if (entry->version <= cp && entry->dirty) {
-          status = FlushEntryLocked(s, entry.get());
-          if (!status.ok()) break;
+          OE_RETURN_IF_ERROR(FlushEntryLocked(s, entry.get()));
         }
       }
-      if (!status.ok()) break;
     }
-    if (!status.ok()) break;
     std::vector<uint64_t> to_free;
     {
       std::lock_guard<std::mutex> lock(ckpt_mutex_);
@@ -1004,10 +1066,7 @@ Status PipelinedStore::DrainCheckpoints() {
     pmem::PersistSiteGuard site("ckpt-gc");
     for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
   }
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->lock.ReleaseWrite();
-  }
-  return status;
+  return Status::OK();
 }
 
 uint64_t PipelinedStore::PublishedCheckpoint() const {
@@ -1022,18 +1081,24 @@ Status PipelinedStore::RecoverFromCrash() {
     maint_cv_.wait(lock,
                    [&] { return processed_chunks_ == appended_chunks_; });
   }
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
-  auto pool = pmem::PmemPool::Open(device_);
-  if (!pool.ok()) {
-    release_all();
-    return pool.status();
+  uint64_t cp = 0;
+  {
+    AllShardsWriteLock all(shards_);
+    OE_ASSIGN_OR_RETURN(cp, RecoverLocked());
   }
-  pool_ = std::move(pool).ValueOrDie();
+  {
+    // Training progress is now exactly the recovered checkpoint; without
+    // this rewind a rollback deeper than one checkpoint interval would
+    // spuriously reject the first replayed RequestCheckpoint as "already
+    // surpassed".
+    std::lock_guard<std::mutex> lock(maint_mutex_);
+    sealed_batch_ = cp;
+  }
+  return Status::OK();
+}
+
+Result<uint64_t> PipelinedStore::RecoverLocked() {
+  OE_ASSIGN_OR_RETURN(pool_, pmem::PmemPool::Open(device_));
   const uint64_t cp = pool_->RootGet(kRootCheckpointId);
   published_ckpt_.store(cp, std::memory_order_release);
   {
@@ -1063,27 +1128,15 @@ Status PipelinedStore::RecoverFromCrash() {
   // it — a half-imported migration range vanishes (the import only commits
   // with the ownership root), and a handed-off range is collected even if
   // the post-migration purge never ran.
-  OwnedSlots route;
-  {
-    auto owned = ReadOwnedSlots();
-    if (!owned.ok()) {
-      release_all();
-      return owned.status();
-    }
-    route = std::move(owned).ValueOrDie();
-  }
+  OE_ASSIGN_OR_RETURN(const OwnedSlots route, ReadOwnedSlots());
   // The indexes are rebuilt from scratch: the slab allocator re-attaches to
   // the reopened pool and each shard gets a fresh index. The record scan
   // below is the authoritative state.
   {
     pmem::SlabAllocatorOptions slab_options;
     slab_options.lanes = static_cast<uint32_t>(shards_.size());
-    auto slab = pmem::SlabAllocator::Attach(pool_.get(), slab_options);
-    if (!slab.ok()) {
-      release_all();
-      return slab.status();
-    }
-    slab_ = std::move(slab).ValueOrDie();
+    OE_ASSIGN_OR_RETURN(slab_,
+                        pmem::SlabAllocator::Attach(pool_.get(), slab_options));
   }
   for (auto& shard : shards_) {
     shard.index = FlatIndex{};
@@ -1097,8 +1150,7 @@ Status PipelinedStore::RecoverFromCrash() {
     if (shard.freq != nullptr) {
       // Frequency observations describe pre-crash traffic; recovery replays
       // from the checkpoint, so start the sketch cold like the cache.
-      shard.freq =
-          std::make_unique<cache::FreqEstimator>(config_.freq_counters);
+      shard.freq = std::make_unique<cache::FreqEstimator>(kFreqCounters);
     }
     std::lock_guard<std::mutex> lock(shard.stage_mutex);
     shard.staged.clear();
@@ -1107,209 +1159,92 @@ Status PipelinedStore::RecoverFromCrash() {
 
   // Recovery per Section V-C: scan every entry record in PMem, discard
   // those newer than the Checkpointed Batch ID, keep the newest survivor
-  // per key, and rebuild the DRAM hash indexes. The classification step is
-  // partitioned across config.recovery_threads (the parallel recovery the
-  // paper proposes in Section VI-E), as is the per-shard index rebuild.
-  struct Best {
-    uint64_t offset;
-    uint64_t version;
-  };
-  std::vector<std::pair<uint64_t, uint64_t>> blocks;  // offset, size
-  ForEachEntryRecord([&](uint64_t offset, uint64_t size) {
-    blocks.emplace_back(offset, size);
-  });
-
-  const int threads =
-      std::max(1, std::min<int>(config_.recovery_threads,
-                                static_cast<int>(blocks.size()) / 256 + 1));
-  std::vector<std::unordered_map<EntryId, Best>> partial(
-      static_cast<size_t>(threads));
-  std::vector<std::vector<uint64_t>> partial_discard(
-      static_cast<size_t>(threads));
-
-  auto classify = [&](int t) {
-    auto& best = partial[static_cast<size_t>(t)];
-    auto& discard = partial_discard[static_cast<size_t>(t)];
-    const size_t begin = blocks.size() * static_cast<size_t>(t) /
-                         static_cast<size_t>(threads);
-    const size_t end = blocks.size() * static_cast<size_t>(t + 1) /
-                       static_cast<size_t>(threads);
-    for (size_t i = begin; i < end; ++i) {
-      const auto [offset, size] = blocks[i];
-      if (size != layout_.record_bytes()) {
-        discard.push_back(offset);
-        continue;
-      }
-      const uint8_t* record = pool_->Translate(offset);
-      device_->ChargeRead(EntryLayout::kHeaderBytes);
-      const EntryId key = EntryLayout::RecordKey(record);
-      const uint64_t version = EntryLayout::RecordVersion(record);
-      if (route.present && !route.owned[SlotOfKey(key)] &&
-          route.extras.count(key) == 0) {
-        discard.push_back(offset);
-        continue;
-      }
-      if (version > cp) {
-        discard.push_back(offset);
-        continue;
-      }
-      auto it = best.find(key);
-      if (it == best.end()) {
-        best.emplace(key, Best{offset, version});
-      } else if (version > it->second.version) {
-        discard.push_back(it->second.offset);
-        it->second = Best{offset, version};
-      } else {
-        discard.push_back(offset);
-      }
-    }
-  };
-  if (threads == 1) {
-    classify(0);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) workers.emplace_back(classify, t);
-    for (auto& w : workers) w.join();
-  }
-
-  // Merge: duplicate keys across partitions resolve by version.
-  std::unordered_map<EntryId, Best>& best = partial[0];
+  // per key, and rebuild the DRAM hash indexes.
   std::vector<uint64_t> discard;
-  for (auto& d : partial_discard) {
-    discard.insert(discard.end(), d.begin(), d.end());
-  }
-  for (size_t t = 1; t < partial.size(); ++t) {
-    for (const auto& [key, candidate] : partial[t]) {
-      auto it = best.find(key);
-      if (it == best.end()) {
-        best.emplace(key, candidate);
-      } else if (candidate.version > it->second.version) {
-        discard.push_back(it->second.offset);
-        it->second = candidate;
-      } else {
-        discard.push_back(candidate.offset);
-      }
-    }
-  }
-
+  const auto survivors = ClassifyRecordsLocked(cp, route, &discard);
   {
     pmem::PersistSiteGuard site("recover-gc");
     for (uint64_t offset : discard) OE_CHECK_OK(FreeRecord(offset));
   }
-
-  // Partition survivors by shard, then rebuild the per-shard indexes in
-  // parallel: each rebuild thread owns a disjoint set of shards, so the
-  // builds share nothing.
   std::vector<std::vector<std::pair<EntryId, uint64_t>>> per_shard(
       shards_.size());
-  for (const auto& [key, b] : best) {
-    per_shard[ShardOf(key)].emplace_back(key, b.offset);
+  for (const auto& [key, record] : survivors) {
+    per_shard[ShardOf(key)].emplace_back(key, record.offset);
   }
-  auto build = [&](size_t t, size_t stride) {
-    for (size_t s = t; s < shards_.size(); s += stride) {
-      FlatIndex& index = shards_[s].index;
-      index.Reserve(per_shard[s].size());
-      for (const auto& [key, offset] : per_shard[s]) {
-        index.Upsert(key, TaggedPtr::FromPmem(offset));
-        dram_stats_.AddWrite(sizeof(EntryId) + sizeof(TaggedPtr));
-      }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    FlatIndex& index = shards_[s].index;
+    index.Reserve(per_shard[s].size());
+    for (const auto& [key, offset] : per_shard[s]) {
+      index.Upsert(key, TaggedPtr::FromPmem(offset));
+      dram_stats_.AddWrite(sizeof(EntryId) + sizeof(TaggedPtr));
     }
-  };
-  const size_t build_threads = std::min<size_t>(
-      static_cast<size_t>(threads), shards_.size());
-  if (build_threads <= 1) {
-    build(0, 1);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(build_threads);
-    for (size_t t = 0; t < build_threads; ++t) {
-      workers.emplace_back(build, t, build_threads);
-    }
-    for (auto& w : workers) w.join();
   }
-  release_all();
-  {
-    // Training progress is now exactly the recovered checkpoint; without
-    // this rewind a rollback deeper than one checkpoint interval would
-    // spuriously reject the first replayed RequestCheckpoint as "already
-    // surpassed".
-    std::lock_guard<std::mutex> lock(maint_mutex_);
-    sealed_batch_ = cp;
-  }
-  return Status::OK();
+  return cp;
 }
 
-Status PipelinedStore::ExportCheckpoint(ckpt::CheckpointLog* log) {
-  if (log == nullptr) return Status::InvalidArgument("null backup log");
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
+std::unordered_map<EntryId, PipelinedStore::SnapshotRecord>
+PipelinedStore::ClassifyRecordsLocked(uint64_t cp, const OwnedSlots& route,
+                                      std::vector<uint64_t>* discard) const {
+  std::unordered_map<EntryId, SnapshotRecord> best;
+  auto drop = [discard](uint64_t offset) {
+    if (discard != nullptr) discard->push_back(offset);
   };
-  const uint64_t cp = published_ckpt_.load(std::memory_order_acquire);
-  if (cp == 0) {
-    release_all();
-    return Status::FailedPrecondition("no published checkpoint to export");
-  }
-  // The backup is the same record set recovery would choose: per key, the
-  // newest record with version <= cp.
-  struct Best {
-    uint64_t offset;
-    uint64_t version;
-  };
-  std::unordered_map<EntryId, Best> best;
   ForEachEntryRecord([&](uint64_t offset, uint64_t size) {
-    if (size != layout_.record_bytes()) return;
+    if (size != layout_.record_bytes()) {
+      drop(offset);
+      return;
+    }
     const uint8_t* record = pool_->Translate(offset);
     device_->ChargeRead(EntryLayout::kHeaderBytes);
     const EntryId key = EntryLayout::RecordKey(record);
     const uint64_t version = EntryLayout::RecordVersion(record);
-    if (version > cp) return;
-    auto it = best.find(key);
-    if (it == best.end() || version > it->second.version) {
-      best[key] = Best{offset, version};
+    const bool owned = !route.present || route.owned[SlotOfKey(key)] ||
+                       route.extras.count(key) != 0;
+    if (!owned || version > cp) {
+      drop(offset);
+      return;
+    }
+    auto [it, inserted] = best.try_emplace(key, SnapshotRecord{offset, version});
+    if (inserted) return;
+    if (version > it->second.version) {
+      drop(it->second.offset);
+      it->second = SnapshotRecord{offset, version};
+    } else {
+      drop(offset);
     }
   });
+  return best;
+}
 
-  constexpr size_t kChunkRecords = 4096;
-  std::vector<uint8_t> buffer(kChunkRecords * layout_.record_bytes());
-  size_t in_chunk = 0;
-  Status status = Status::OK();
-  for (const auto& [key, b] : best) {
-    device_->Read(b.offset, buffer.data() + in_chunk * layout_.record_bytes(),
-                  layout_.record_bytes());
-    if (++in_chunk == kChunkRecords) {
-      status = log->AppendChunk(cp, buffer.data(), in_chunk);
-      if (!status.ok()) break;
-      in_chunk = 0;
-    }
+Status PipelinedStore::ExportCheckpoint(ckpt::CheckpointLog* log) {
+  if (log == nullptr) return Status::InvalidArgument("null backup log");
+  AllShardsWriteLock all(shards_);
+  const uint64_t cp = published_ckpt_.load(std::memory_order_acquire);
+  if (cp == 0) {
+    return Status::FailedPrecondition("no published checkpoint to export");
   }
-  if (status.ok() && in_chunk > 0) {
-    status = log->AppendChunk(cp, buffer.data(), in_chunk);
+  // The backup is exactly the record set recovery would restore: per key
+  // the committed routing ownership covers, the newest record <= cp.
+  OE_ASSIGN_OR_RETURN(const OwnedSlots route, ReadOwnedSlots());
+  RecordChunkWriter writer(log, cp, layout_.record_bytes());
+  for (const auto& [key, record] :
+       ClassifyRecordsLocked(cp, route, /*discard=*/nullptr)) {
+    if (!writer.ok()) break;
+    device_->Read(record.offset, writer.Next(), layout_.record_bytes());
   }
-  release_all();
-  return status;
+  return writer.Finish();
 }
 
 Status PipelinedStore::ImportCheckpoint(const ckpt::CheckpointLog& log) {
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
+  AllShardsWriteLock all(shards_);
   for (const auto& shard : shards_) {
     if (shard.index.Size() != 0) {
-      release_all();
       return Status::FailedPrecondition(
           "import requires a freshly created (empty) store");
     }
   }
   const uint64_t cp = log.LatestBatch();
   if (cp == 0) {
-    release_all();
     return Status::FailedPrecondition("backup holds no checkpoint");
   }
 
@@ -1347,7 +1282,6 @@ Status PipelinedStore::ImportCheckpoint(const ckpt::CheckpointLog& log) {
     std::lock_guard<std::mutex> lock(ckpt_mutex_);
     std::fill(shard_acked_.begin(), shard_acked_.end(), cp);
   }
-  release_all();
   return status;
 }
 
@@ -1432,12 +1366,7 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
     return Status::InvalidArgument(
         "slot bitmap must cover every routing slot");
   }
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
+  AllShardsWriteLock all(shards_);
   const uint64_t cp = published_ckpt_.load(std::memory_order_acquire);
 
   // Collect the migrating keys with their flushed-record coordinates. The
@@ -1467,12 +1396,8 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
       items.push_back(item);
     });
   }
-  if (items.empty()) {
-    release_all();
-    return Status::OK();
-  }
+  if (items.empty()) return Status::OK();
   if (cp == 0) {
-    release_all();
     return Status::FailedPrecondition(
         "no published checkpoint to migrate from");
   }
@@ -1480,72 +1405,41 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
   // Snapshot record per key: the newest record at or below cp — what the
   // target must serve to MultiGet. Usually the flushed record itself; when
   // that is newer than cp the superseded one is in snapshot_index_.
-  std::vector<uint64_t> snap_offsets(items.size(), kNullOffset);
+  std::vector<uint64_t> snap_offsets(items.size());
   {
     std::lock_guard<std::mutex> lock(ckpt_mutex_);
     for (size_t i = 0; i < items.size(); ++i) {
       const Item& item = items[i];
-      if (item.flushed_offset != kNullOffset && item.flushed_version <= cp) {
-        snap_offsets[i] = item.flushed_offset;
-        continue;
-      }
-      auto it = snapshot_index_.find(item.key);
-      if (it == snapshot_index_.end()) continue;
-      uint64_t best_version = 0;
-      for (const SnapshotRecord& record : it->second) {
-        if (record.version <= cp &&
-            (snap_offsets[i] == kNullOffset ||
-             record.version > best_version)) {
-          snap_offsets[i] = record.offset;
-          best_version = record.version;
-        }
-      }
+      snap_offsets[i] =
+          item.flushed_offset != kNullOffset && item.flushed_version <= cp
+              ? item.flushed_offset
+              : SnapshotRecordAtLocked(item.key, cp);
     }
   }
 
-  constexpr size_t kChunkRecords = 4096;
-  std::vector<uint8_t> buffer(kChunkRecords * layout_.record_bytes());
-  size_t in_chunk = 0;
-  Status status = Status::OK();
-  auto flush_chunk = [&] {
-    if (in_chunk == 0 || !status.ok()) return;
-    status = log->AppendChunk(cp, buffer.data(), in_chunk);
-    in_chunk = 0;
-  };
-  auto emit = [&](const uint8_t* record) {
-    if (!status.ok()) return;
-    std::memcpy(buffer.data() + in_chunk * layout_.record_bytes(), record,
-                layout_.record_bytes());
-    if (++in_chunk == kChunkRecords) flush_chunk();
-  };
-  std::vector<uint8_t> scratch(layout_.record_bytes());
-  for (size_t i = 0; i < items.size(); ++i) {
+  const size_t record_bytes = layout_.record_bytes();
+  RecordChunkWriter writer(log, cp, record_bytes);
+  for (size_t i = 0; i < items.size() && writer.ok(); ++i) {
     const Item& item = items[i];
     if (snap_offsets[i] != kNullOffset) {
-      device_->Read(snap_offsets[i], scratch.data(), scratch.size());
-      emit(scratch.data());
+      device_->Read(snap_offsets[i], writer.Next(), record_bytes);
     }
     // Live head, when newer than the snapshot record, so the target resumes
     // training from exactly this node's state: dirty DRAM serialized as a
     // record (a dirty entry always carries a version > cp — publication of
     // cp required every <= cp state durable), else a newer flushed record.
     if (item.entry != nullptr && item.entry->dirty) {
-      EntryLayout::SetRecordHeader(scratch.data(), item.key,
-                                   item.entry->version);
-      std::memcpy(EntryLayout::RecordData(scratch.data()),
-                  item.entry->data.get(), layout_.data_bytes());
+      uint8_t* record = writer.Next();
+      EntryLayout::SetRecordHeader(record, item.key, item.entry->version);
+      std::memcpy(EntryLayout::RecordData(record), item.entry->data.get(),
+                  layout_.data_bytes());
       dram_stats_.AddRead(layout_.data_bytes());
-      emit(scratch.data());
     } else if (item.flushed_offset != kNullOffset &&
                item.flushed_offset != snap_offsets[i]) {
-      device_->Read(item.flushed_offset, scratch.data(), scratch.size());
-      emit(scratch.data());
+      device_->Read(item.flushed_offset, writer.Next(), record_bytes);
     }
-    if (!status.ok()) break;
   }
-  flush_chunk();
-  release_all();
-  return status;
+  return writer.Finish();
 }
 
 Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
@@ -1553,12 +1447,7 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
   if (imported == nullptr) {
     return Status::InvalidArgument("null imported-key list");
   }
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
+  AllShardsWriteLock all(shards_);
   const uint64_t image_cp = log.LatestBatch();
 
   // Land every image record in PMem first (site "migrate-entry" per
@@ -1643,7 +1532,6 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
     std::lock_guard<std::mutex> lock(ckpt_mutex_);
     for (uint64_t& acked : shard_acked_) acked = std::max(acked, image_cp);
   }
-  release_all();
   return status;
 }
 
@@ -1730,12 +1618,7 @@ void PipelinedStore::DropKeysLocked(
 }
 
 Status PipelinedStore::RemoveKeys(const std::vector<EntryId>& keys) {
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
+  AllShardsWriteLock all(shards_);
   const std::unordered_set<EntryId> victims(keys.begin(), keys.end());
   std::vector<uint64_t> to_free;
   DropKeysLocked(victims, &to_free);
@@ -1743,7 +1626,6 @@ Status PipelinedStore::RemoveKeys(const std::vector<EntryId>& keys) {
     pmem::PersistSiteGuard site("migrate-gc");
     for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
   }
-  release_all();
   return Status::OK();
 }
 
@@ -1753,12 +1635,7 @@ Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
     return Status::InvalidArgument(
         "slot bitmap must cover every routing slot");
   }
-  for (auto& shard : shards_) shard.lock.AcquireWrite();
-  auto release_all = [&] {
-    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-      it->lock.ReleaseWrite();
-    }
-  };
+  AllShardsWriteLock all(shards_);
   std::unordered_set<EntryId> victims;
   for (auto& shard : shards_) {
     shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
@@ -1772,7 +1649,6 @@ Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
     pmem::PersistSiteGuard site("migrate-gc");
     for (uint64_t offset : to_free) OE_CHECK_OK(FreeRecord(offset));
   }
-  release_all();
   return Status::OK();
 }
 
@@ -1890,21 +1766,11 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
       // newest <= cp record — contradiction). Offsets resolve under
       // ckpt_mutex_; the copies happen after dropping it, still under the
       // shard read lock and the snapshot pin.
-      fallback_offsets.assign(fallback.size(), kNullOffset);
+      fallback_offsets.resize(fallback.size());
       {
         std::lock_guard<std::mutex> lock(ckpt_mutex_);
         for (size_t f = 0; f < fallback.size(); ++f) {
-          auto it = snapshot_index_.find(keys[fallback[f]]);
-          if (it == snapshot_index_.end()) continue;
-          uint64_t best_version = 0;
-          for (const SnapshotRecord& record : it->second) {
-            if (record.version <= cp &&
-                (fallback_offsets[f] == kNullOffset ||
-                 record.version > best_version)) {
-              fallback_offsets[f] = record.offset;
-              best_version = record.version;
-            }
-          }
+          fallback_offsets[f] = SnapshotRecordAtLocked(keys[fallback[f]], cp);
         }
       }
       for (size_t f = 0; f < fallback.size(); ++f) {

@@ -60,7 +60,7 @@ namespace oe::storage {
 /// observed frequency beats the would-be victim's, the eviction victim is
 /// the lowest-frequency entry within the LRU-tail window, and entries whose
 /// frequency crosses the hot threshold are pinned (never evicted, bounded
-/// by hot_pin_fraction of the shard's capacity). Victim selection removes
+/// by a fixed fraction of the shard's capacity). Victim selection removes
 /// entries without reordering, so the LRU-order == version-order invariant
 /// the checkpoint barrier relies on is untouched.
 ///
@@ -303,6 +303,25 @@ class PipelinedStore final : public EmbeddingStore {
     std::vector<EntryId> staged;
   };
 
+  /// Holds every shard's write lock for a scope: acquired in ascending
+  /// shard order (the multi-shard lock protocol), released in reverse.
+  class AllShardsWriteLock {
+   public:
+    explicit AllShardsWriteLock(std::vector<Shard>& shards) : shards_(shards) {
+      for (Shard& shard : shards_) shard.lock.AcquireWrite();
+    }
+    ~AllShardsWriteLock() {
+      for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
+        it->lock.ReleaseWrite();
+      }
+    }
+    AllShardsWriteLock(const AllShardsWriteLock&) = delete;
+    AllShardsWriteLock& operator=(const AllShardsWriteLock&) = delete;
+
+   private:
+    std::vector<Shard>& shards_;
+  };
+
   static constexpr EntryId kNoVictim = ~0ULL;
 
   PipelinedStore(const StoreConfig& config, pmem::PmemDevice* device);
@@ -344,13 +363,13 @@ class PipelinedStore final : public EmbeddingStore {
 
   /// Selects this shard's eviction victim per the configured policy: the
   /// LRU tail under kLru, else the lowest-frequency unpinned entry within
-  /// the evict_window LRU-tail candidates (ties keep the least recent).
+  /// the kEvictWindow LRU-tail candidates (ties keep the least recent).
   /// Entries in `skip` (flush-failed this round) are passed over. Returns
   /// nullptr if everything in the window is pinned or skipped.
   CacheEntry* PickVictimLocked(size_t shard,
                                const std::vector<CacheEntry*>& skip);
 
-  /// Max pinned entries a shard may hold (hot_pin_fraction of its
+  /// Max pinned entries a shard may hold (kHotPinFraction of its
   /// capacity, always leaving at least one unpinned slot).
   size_t PinCapacity(const Shard& sh) const;
 
@@ -385,6 +404,11 @@ class PipelinedStore final : public EmbeddingStore {
   /// Head of the checkpoint request queue; false if empty.
   bool PendingHead(uint64_t* cp) const;
 
+  /// RecoverFromCrash's body under every shard write lock: reopens the
+  /// pool, resets DRAM and checkpoint state, frees every record recovery
+  /// discards and rebuilds the indexes. Returns the recovered checkpoint.
+  Result<uint64_t> RecoverLocked();
+
   // --- Snapshot-read support (MultiGet) ---
 
   /// A superseded record awaiting GC. Until a newer checkpoint publishes
@@ -409,6 +433,19 @@ class PipelinedStore final : public EmbeddingStore {
   /// Drops one pin; the last release drains limbo_ (prunes snapshot_index_
   /// and frees the parked records).
   void ReleaseSnapshot();
+
+  /// Recovery's record classification (Section V-C), also the backup's
+  /// record set: scans every committed entry record and keeps, per key
+  /// that `route` covers, the newest record with version <= cp. Every
+  /// other record's offset is appended to `discard` when non-null.
+  /// Requires every shard write lock.
+  std::unordered_map<EntryId, SnapshotRecord> ClassifyRecordsLocked(
+      uint64_t cp, const OwnedSlots& route,
+      std::vector<uint64_t>* discard) const;
+
+  /// Offset of `key`'s newest snapshot_index_ record with version <= cp,
+  /// or kNullOffset. Requires ckpt_mutex_.
+  uint64_t SnapshotRecordAtLocked(EntryId key, uint64_t cp) const;
 
   /// Removes `record`'s snapshot_index_ entry. Requires ckpt_mutex_.
   void PruneSnapshotIndexLocked(const DeferredRecord& record);

@@ -124,18 +124,4 @@ double SkewedKeySampler::MassOfTopFraction(double rank_fraction) const {
   return mass;
 }
 
-storage::EntryId ExponentialFreqModel::Sample(Random* rng) const {
-  const double u = rng->NextDouble();
-  const double z =
-      -std::log(1.0 - u * (1.0 - std::exp(-lambda_))) / lambda_;  // [0,1)
-  const auto rank = static_cast<uint64_t>(
-      z * static_cast<double>(num_keys_));
-  return std::min(rank, num_keys_ - 1);
-}
-
-double ExponentialFreqModel::MassOfTopFraction(double rank_fraction) const {
-  return (1.0 - std::exp(-lambda_ * rank_fraction)) /
-         (1.0 - std::exp(-lambda_));
-}
-
 }  // namespace oe::workload

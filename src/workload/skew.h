@@ -63,29 +63,6 @@ class SkewedKeySampler {
   std::vector<uint64_t> tier_size_;
 };
 
-/// Pure exponential-decay frequency model of Fig. 10:
-///   freq(rank r) ∝ exp(-lambda * r / num_keys).
-/// Used by the distribution-fitting benchmark; SkewedKeySampler is the
-/// workload driver.
-class ExponentialFreqModel {
- public:
-  ExponentialFreqModel(uint64_t num_keys, double lambda)
-      : num_keys_(num_keys), lambda_(lambda) {}
-
-  /// Inverse-CDF sampling of a rank in [0, num_keys).
-  storage::EntryId Sample(Random* rng) const;
-
-  /// Expected access share of the hottest `rank_fraction` keys.
-  double MassOfTopFraction(double rank_fraction) const;
-
-  double lambda() const { return lambda_; }
-  uint64_t num_keys() const { return num_keys_; }
-
- private:
-  uint64_t num_keys_;
-  double lambda_;
-};
-
 }  // namespace oe::workload
 
 #endif  // OE_WORKLOAD_SKEW_H_

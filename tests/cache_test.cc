@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <list>
 #include <thread>
 #include <vector>
@@ -238,86 +240,10 @@ TEST_P(LruPropertyTest, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LruPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
 
-TEST(AccessQueueTest, FifoOrder) {
-  AccessQueue<int> queue;
-  queue.Append(1, {1, 2});
-  queue.Append(2, {3});
-  uint64_t batch = 0;
-  std::vector<int> items;
-  ASSERT_TRUE(queue.TryPop(&batch, &items));
-  EXPECT_EQ(batch, 1u);
-  EXPECT_EQ(items, std::vector<int>({1, 2}));
-  ASSERT_TRUE(queue.TryPop(&batch, &items));
-  EXPECT_EQ(batch, 2u);
-  EXPECT_FALSE(queue.TryPop(&batch, &items));
-}
-
-TEST(AccessQueueTest, BlockingPopWaits) {
-  AccessQueue<int> queue;
-  std::thread producer([&] { queue.Append(7, {42}); });
-  uint64_t batch = 0;
-  std::vector<int> items;
-  ASSERT_TRUE(queue.Pop(&batch, &items));
-  EXPECT_EQ(batch, 7u);
-  EXPECT_EQ(items, std::vector<int>({42}));
-  producer.join();
-}
-
-TEST(AccessQueueTest, CloseReleasesBlockedConsumers) {
-  AccessQueue<int> queue;
-  std::thread consumer([&] {
-    uint64_t batch;
-    std::vector<int> items;
-    EXPECT_FALSE(queue.Pop(&batch, &items));  // closed and empty
-  });
-  queue.Close();
-  consumer.join();
-}
-
-TEST(AccessQueueTest, DrainsRemainingAfterClose) {
-  AccessQueue<int> queue;
-  queue.Append(1, {1});
-  queue.Close();
-  uint64_t batch;
-  std::vector<int> items;
-  EXPECT_TRUE(queue.Pop(&batch, &items));   // still drains
-  EXPECT_FALSE(queue.Pop(&batch, &items));  // then reports closed
-}
-
-TEST(AccessQueueTest, ConcurrentProducersConsumers) {
-  AccessQueue<int> queue;
-  std::atomic<int> consumed{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      uint64_t batch;
-      std::vector<int> items;
-      while (queue.Pop(&batch, &items)) {
-        consumed.fetch_add(static_cast<int>(items.size()));
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < 100; ++i) {
-        queue.Append(static_cast<uint64_t>(p), {i});
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  // Wait for drain, then close.
-  while (queue.size() > 0) std::this_thread::yield();
-  queue.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(consumed.load(), 400);
-}
-
 TEST(ShardedAccessQueueTest, ExcludesBusyShardsAndKeepsPerShardFifo) {
   ShardedAccessQueue<int> queue(2);
-  queue.Append(0, 1, {10});
-  queue.Append(0, 2, {11});
-  queue.Append(1, 1, {20});
+  queue.Append(1, {{10}, {20}});
+  queue.Append(2, {{11}, {}});
 
   size_t shard = ~0ull;
   uint64_t batch = 0;
@@ -350,7 +276,7 @@ TEST(ShardedAccessQueueTest, ExcludesBusyShardsAndKeepsPerShardFifo) {
 
 TEST(ShardedAccessQueueTest, CloseWakesPopBlockedOnBusyShard) {
   ShardedAccessQueue<int> queue(1);
-  queue.Append(0, 1, {1});
+  queue.Append(1, {{1}});
   size_t shard = 0;
   uint64_t batch = 0;
   std::vector<int> items;
@@ -367,6 +293,86 @@ TEST(ShardedAccessQueueTest, CloseWakesPopBlockedOnBusyShard) {
   queue.Close();
   queue.Done(0);
   consumer.join();
+}
+
+// One Append queues a whole seal: every non-empty per-shard chunk becomes
+// visible at once under the seal's batch, empty chunks queue nothing, and
+// pops walk the shards round-robin.
+TEST(ShardedAccessQueueTest, AppendQueuesWholeSeal) {
+  ShardedAccessQueue<int> queue(3);
+  queue.Append(5, {{1, 2}, {}, {3}});
+  EXPECT_EQ(queue.size(), 2u);
+  queue.Append(6, {{}, {}, {}});
+  EXPECT_EQ(queue.size(), 2u);
+
+  size_t shard = ~0ull;
+  uint64_t batch = 0;
+  std::vector<int> items;
+  ASSERT_TRUE(queue.Pop(&shard, &batch, &items));
+  EXPECT_EQ(shard, 0u);
+  EXPECT_EQ(batch, 5u);
+  EXPECT_EQ(items, std::vector<int>({1, 2}));
+  ASSERT_TRUE(queue.Pop(&shard, &batch, &items));
+  EXPECT_EQ(shard, 2u);
+  EXPECT_EQ(batch, 5u);
+  EXPECT_EQ(items, std::vector<int>({3}));
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(ShardedAccessQueueTest, DrainsRemainingAfterClose) {
+  ShardedAccessQueue<int> queue(2);
+  queue.Append(1, {{1}, {2}});
+  queue.Close();
+  size_t shard;
+  uint64_t batch;
+  std::vector<int> items;
+  EXPECT_TRUE(queue.Pop(&shard, &batch, &items));  // still drains
+  queue.Done(shard);
+  EXPECT_TRUE(queue.Pop(&shard, &batch, &items));
+  queue.Done(shard);
+  EXPECT_FALSE(queue.Pop(&shard, &batch, &items));  // then reports closed
+}
+
+// Producers own one shard each and append seals in batch order; consumers
+// must see every item, never two chunks of one shard at once, and each
+// shard's chunks in FIFO (batch) order.
+TEST(ShardedAccessQueueTest, ConcurrentProducersConsumers) {
+  constexpr size_t kShards = 4;
+  constexpr int kSeals = 100;
+  ShardedAccessQueue<int> queue(kShards);
+  std::atomic<int> consumed{0};
+  std::atomic<bool> in_order{true};
+  std::array<uint64_t, kShards> last_batch{};  // guarded by the busy claim
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 2; ++c) {
+    consumers.emplace_back([&] {
+      size_t shard;
+      uint64_t batch;
+      std::vector<int> items;
+      while (queue.Pop(&shard, &batch, &items)) {
+        if (batch <= last_batch[shard]) in_order.store(false);
+        last_batch[shard] = batch;
+        consumed.fetch_add(static_cast<int>(items.size()));
+        queue.Done(shard);
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kShards; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 1; i <= kSeals; ++i) {
+        std::vector<std::vector<int>> seal(kShards);
+        seal[p] = {i};
+        queue.Append(static_cast<uint64_t>(i), std::move(seal));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  while (queue.size() > 0) std::this_thread::yield();
+  queue.Close();
+  for (auto& t : consumers) t.join();
+  EXPECT_EQ(consumed.load(), static_cast<int>(kShards) * kSeals);
+  EXPECT_TRUE(in_order.load());
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "ckpt/checkpoint_log.h"
-#include "ckpt/quantized_snapshot.h"
 #include "common/random.h"
 #include "pmem/device.h"
 #include "storage/ori_cache_store.h"
@@ -227,100 +226,6 @@ TEST(OriCacheStoreTest, CheckpointCopiesScaleWithDirtySet) {
   EXPECT_LT(f.log->UsedBytes() - full, full / 4);
 }
 
-
-// ---------- Quantized snapshots (Check-N-Run-style) ----------
-
-TEST(QuantizedSnapshotTest, RoundTripWithinQuantizationError) {
-  auto device = MakeDevice();
-  EntryLayout layout(8, 1);  // weights + AdaGrad state
-  QuantizedSnapshot snapshot(device.get(), layout);
-
-  oe::Random rng(3);
-  const uint64_t count = 100;
-  std::vector<uint8_t> records(count * layout.record_bytes());
-  for (uint64_t i = 0; i < count; ++i) {
-    uint8_t* record = records.data() + i * layout.record_bytes();
-    EntryLayout::SetRecordHeader(record, 1000 + i, 7);
-    float* data = EntryLayout::RecordData(record);
-    for (uint32_t v = 0; v < layout.values_per_entry(); ++v) {
-      data[v] = rng.UniformFloat(-2.0f, 2.0f);
-    }
-  }
-  ASSERT_TRUE(snapshot.Write(7, records.data(), count).ok());
-  EXPECT_EQ(snapshot.Batch(), 7u);
-  EXPECT_EQ(snapshot.Count(), count);
-
-  const double max_error = QuantizedSnapshot::MaxError(4.0) * 2.01;
-  uint64_t seen = 0;
-  ASSERT_TRUE(snapshot
-                  .Read([&](uint64_t key, uint64_t version,
-                            const float* values) {
-                    ASSERT_GE(key, 1000u);
-                    EXPECT_EQ(version, 7u);
-                    const uint8_t* record =
-                        records.data() + (key - 1000) * layout.record_bytes();
-                    const float* original = EntryLayout::RecordData(record);
-                    for (uint32_t v = 0; v < layout.values_per_entry(); ++v) {
-                      EXPECT_NEAR(values[v], original[v], max_error);
-                    }
-                    ++seen;
-                  })
-                  .ok());
-  EXPECT_EQ(seen, count);
-}
-
-TEST(QuantizedSnapshotTest, CompressionRatio) {
-  auto device = MakeDevice();
-  EntryLayout layout(64, 0);  // the paper's dim-64 entries
-  QuantizedSnapshot snapshot(device.get(), layout);
-  const double ratio = static_cast<double>(layout.record_bytes()) /
-                       static_cast<double>(snapshot.QuantizedRecordBytes());
-  EXPECT_GT(ratio, 2.5);  // 272 B -> ~88 B
-}
-
-TEST(QuantizedSnapshotTest, TornWriteInvisibleAfterCrash) {
-  auto device = MakeDevice();
-  EntryLayout layout(4, 0);
-  QuantizedSnapshot snapshot(device.get(), layout);
-  std::vector<uint8_t> records(2 * layout.record_bytes(), 0);
-  EntryLayout::SetRecordHeader(records.data(), 1, 1);
-  EntryLayout::SetRecordHeader(records.data() + layout.record_bytes(), 2, 1);
-  ASSERT_TRUE(snapshot.Write(1, records.data(), 2).ok());
-  device->SimulateCrash();
-  EXPECT_EQ(snapshot.Count(), 2u);  // fully published snapshot survives
-  int seen = 0;
-  ASSERT_TRUE(snapshot.Read([&](auto, auto, auto) { ++seen; }).ok());
-  EXPECT_EQ(seen, 2);
-}
-
-TEST(QuantizedSnapshotTest, ConstantEntryQuantizesExactly) {
-  auto device = MakeDevice();
-  EntryLayout layout(4, 0);
-  QuantizedSnapshot snapshot(device.get(), layout);
-  std::vector<uint8_t> record(layout.record_bytes());
-  EntryLayout::SetRecordHeader(record.data(), 9, 3);
-  float* data = EntryLayout::RecordData(record.data());
-  for (int v = 0; v < 4; ++v) data[v] = 1.25f;  // zero range
-  ASSERT_TRUE(snapshot.Write(3, record.data(), 1).ok());
-  ASSERT_TRUE(snapshot
-                  .Read([&](auto, auto, const float* values) {
-                    for (int v = 0; v < 4; ++v) {
-                      EXPECT_FLOAT_EQ(values[v], 1.25f);
-                    }
-                  })
-                  .ok());
-}
-
-TEST(QuantizedSnapshotTest, RejectsOversizedWrite) {
-  pmem::PmemDeviceOptions options;
-  options.size_bytes = 4096;
-  options.crash_fidelity = CrashFidelity::kStrict;
-  auto device = pmem::PmemDevice::Create(options).ValueOrDie();
-  EntryLayout layout(64, 0);
-  QuantizedSnapshot snapshot(device.get(), layout);
-  std::vector<uint8_t> records(100 * layout.record_bytes(), 0);
-  EXPECT_TRUE(snapshot.Write(1, records.data(), 100).IsOutOfSpace());
-}
 
 }  // namespace
 }  // namespace oe::ckpt

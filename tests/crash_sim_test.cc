@@ -92,6 +92,25 @@ TEST(CrashSimTest, DefaultConfigPersistSites) {
   }
 }
 
+// CrashSim's contract: with one maintainer and one driver thread the
+// persist schedule is a total order, so every counting run sees the same
+// event sequence and an enumerated crash point lands on the site the
+// counting run saw. At 16 shards this needs each seal to queue all of its
+// per-shard maintenance chunks in one append.
+TEST(CrashSimTest, CountingRunsAreRepeatable) {
+  for (uint32_t shards : {1u, 16u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CrashSim reference(BaseOptions(shards));
+    ASSERT_TRUE(reference.CountEvents().ok());
+    EXPECT_EQ(reference.total_events(), shards == 1 ? 176u : 221u);
+    for (int run = 1; run < 20; ++run) {
+      CrashSim sim(BaseOptions(shards));
+      ASSERT_TRUE(sim.CountEvents().ok());
+      ASSERT_EQ(sim.event_sites(), reference.event_sites()) << "run " << run;
+    }
+  }
+}
+
 // Crash-point enumeration under the frequency-aware cache policy with a
 // cache small enough that the admission filter and the windowed victim
 // scan fire at every maintenance chunk. The policy changes *which* entries

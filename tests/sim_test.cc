@@ -123,7 +123,7 @@ TEST(TrainingSimTest, OrderingMatchesPaperAtSixteenGpus) {
   EXPECT_LT(oe.value().epoch_ns, ori.value().epoch_ns);
 }
 
-TEST(TrainingSimTest, MissRateFallsWithBiggerCache) {
+TEST(TrainingSimTest, CacheMissesFallWithBiggerCache) {
   auto small_cache = SmallSim(StoreKind::kPipelined, 4);
   small_cache.store.cache_bytes = 64 << 10;
   auto big_cache = SmallSim(StoreKind::kPipelined, 4);

@@ -411,7 +411,7 @@ TEST_F(PipelinedStoreTest, HitRateHighForRepeatedKeys) {
   std::vector<EntryId> keys = {1, 2, 3, 4};
   for (uint64_t batch = 1; batch <= 10; ++batch) RunBatch(batch, keys, 0.0f);
   // First batch misses (first touch) then all hits.
-  EXPECT_GT(store_->stats().HitRate(), 0.85);
+  EXPECT_GT(store_->stats_snapshot().HitRate(), 0.85);
 }
 
 // ---------- Frequency-aware cache policy ----------
@@ -472,14 +472,14 @@ TEST_F(FreqPolicyTest, BeatsPlainLruOnSkewedScan) {
   const size_t capacity = store_->CacheCapacityEntries();
   const size_t hot = capacity / 4;
   RunSkewedScan(store_.get(), 24, hot, capacity, 2 * capacity);
-  const double freq_rate = store_->stats().HitRate();
+  const double freq_rate = store_->stats_snapshot().HitRate();
 
   auto lru_device = MakeDevice();
   StoreConfig lru_config = SmallConfig();  // cache_policy defaults to kLru
   auto lru_store =
       PipelinedStore::Create(lru_config, lru_device.get()).ValueOrDie();
   RunSkewedScan(lru_store.get(), 24, hot, capacity, 2 * capacity);
-  const double lru_rate = lru_store->stats().HitRate();
+  const double lru_rate = lru_store->stats_snapshot().HitRate();
 
   // Same workload, same capacity: the admission filter + pinning must keep
   // the hot head cached while plain LRU thrashes it on every scan.
