@@ -120,4 +120,27 @@ uint64_t CheckpointLog::UsedBytes() const {
   return device_->AtomicLoad64(kTailOffset) - kDataStart;
 }
 
+CheckpointLog::ChunkWriter::ChunkWriter(CheckpointLog* log, uint64_t batch)
+    : log_(log),
+      batch_(batch),
+      record_bytes_(log->layout_.record_bytes()),
+      buffer_(kChunkRecords * record_bytes_) {}
+
+uint8_t* CheckpointLog::ChunkWriter::Next() {
+  if (buffered_ == kChunkRecords) Flush();
+  return buffer_.data() + buffered_++ * record_bytes_;
+}
+
+Status CheckpointLog::ChunkWriter::Finish() {
+  Flush();
+  return status_;
+}
+
+void CheckpointLog::ChunkWriter::Flush() {
+  if (buffered_ > 0 && status_.ok()) {
+    status_ = log_->AppendChunk(batch_, buffer_.data(), buffered_);
+  }
+  buffered_ = 0;
+}
+
 }  // namespace oe::ckpt

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/status.h"
 #include "pmem/device.h"
@@ -64,6 +65,36 @@ class CheckpointLog {
   uint64_t CapacityBytes() const { return device_->size() - kDataStart; }
 
   pmem::PmemDevice* device() { return device_; }
+
+  /// Buffers consecutive entry records and appends them to a log in chunks
+  /// of kChunkRecords, every chunk tagged with one batch id (backups and
+  /// migration images).
+  class ChunkWriter {
+   public:
+    static constexpr size_t kChunkRecords = 4096;
+
+    ChunkWriter(CheckpointLog* log, uint64_t batch);
+
+    /// Space for the next record (record_bytes, filled by the caller); a
+    /// full buffer is appended to the log first.
+    uint8_t* Next();
+
+    /// False once an append failed; nothing is appended after that.
+    bool ok() const { return status_.ok(); }
+
+    /// Appends the buffered tail; returns the first append error, if any.
+    Status Finish();
+
+   private:
+    void Flush();
+
+    CheckpointLog* log_;
+    const uint64_t batch_;
+    const size_t record_bytes_;
+    std::vector<uint8_t> buffer_;
+    size_t buffered_ = 0;
+    Status status_ = Status::OK();
+  };
 
  private:
   static constexpr uint64_t kLogMagic = 0x4f45436b70744c67ULL;   // OECkptLg

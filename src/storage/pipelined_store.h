@@ -4,7 +4,6 @@
 #include <array>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -24,6 +23,7 @@
 #include "pmem/slab_allocator.h"
 #include "storage/embedding_store.h"
 #include "storage/flat_index.h"
+#include "storage/record_gc.h"
 
 namespace oe::storage {
 
@@ -81,11 +81,14 @@ namespace oe::storage {
 /// record with version <= checkpoint is immutable by the COW invariant
 /// (in-place pushes require version > every published/pending checkpoint),
 /// so a snapshot reader only ever touches frozen bytes. Records superseded
-/// since the checkpoint are found through snapshot_index_, and a pin
-/// (AcquireSnapshot/ReleaseSnapshot) keeps deferred records alive while a
-/// read is in flight — checkpoint publication is never blocked, only the
-/// GC of superseded records is parked in limbo_ until the last reader
-/// releases its pin.
+/// since the checkpoint are found through the RecordGc, and a pin keeps
+/// every record the reader's checkpoint can reach alive while the read is
+/// in flight — checkpoint publication is never blocked, only the GC of
+/// those records is parked until their last reader releases.
+///
+/// Migration, backup and recovery images (the routing root, Export/Import
+/// of checkpoints and slot ranges, the recovery scan) live in
+/// pipelined_store_image.cc.
 class PipelinedStore final : public EmbeddingStore {
  public:
   /// Pool root slot holding the Checkpointed Batch ID.
@@ -163,7 +166,10 @@ class PipelinedStore final : public EmbeddingStore {
                        const std::vector<EntryId>& extra_keys);
 
   /// Reads the routing root back from the pool (recovery, tests, crash
-  /// harnesses). present == false when no root was ever committed.
+  /// harnesses). present == false when no root was ever committed;
+  /// Corruption when the root names no committed blob or the blob's
+  /// decoded lengths disagree with its extent. Not concurrent with
+  /// SetOwnedSlots.
   Result<OwnedSlots> ReadOwnedSlots() const;
 
   /// Copies the migration image of `slots` into `log`: for every key in a
@@ -191,8 +197,9 @@ class PipelinedStore final : public EmbeddingStore {
                      std::vector<EntryId>* imported);
 
   /// Abort path: removes `keys` outright — index slots, DRAM cache entries
-  /// and their PMem records (parked in limbo while snapshot readers are
-  /// pinned). Used to roll a half-imported range back off a target.
+  /// and their PMem records (parked while a pinned snapshot reader can
+  /// still reach them). Used to roll a half-imported range back off a
+  /// target.
   Status RemoveKeys(const std::vector<EntryId>& keys);
 
   /// Post-handoff cleanup on the source: drops every key of the marked
@@ -326,6 +333,9 @@ class PipelinedStore final : public EmbeddingStore {
 
   PipelinedStore(const StoreConfig& config, pmem::PmemDevice* device);
 
+  /// Create/Open's shared argument checks.
+  static Result<std::unique_ptr<PipelinedStore>> Make(
+      const StoreConfig& config, pmem::PmemDevice* device);
   static size_t ShardCount(const StoreConfig& config);
   size_t ShardOf(EntryId key) const {
     // Multiplicative hash: entry ids are often dense integers, and modulo
@@ -336,29 +346,47 @@ class PipelinedStore final : public EmbeddingStore {
     return static_cast<size_t>(h % shards_.size());
   }
 
-  /// Groups `keys` by shard: on return `order` holds key positions
-  /// [0, n) permuted so each shard's positions are contiguous, and
-  /// `begin[s]..begin[s + 1]` delimits shard s's range.
-  void GroupByShard(const EntryId* keys, size_t n, std::vector<size_t>* order,
-                    std::vector<size_t>* begin) const;
+  /// The batched probe of Pull, Push and MultiGet: per shard holding some
+  /// of `keys`, resolves their index slots with one FindBatch and calls
+  /// `fn(shard, pos, slots, count)` under the shard's read lock; pos[k] is
+  /// the position in `keys` of slots[k] (nullptr: absent). Stops at fn's
+  /// first error.
+  template <typename Fn>
+  Status ForEachShardRead(const EntryId* keys, size_t n, Fn&& fn);
+
+  /// Copies `key`'s weights from the record `slot` points at into `out`
+  /// under the key's push stripe. Requires the shard's (read) lock.
+  void CopyWeights(EntryId key, const cache::AtomicTaggedPtr& slot,
+                   float* out);
+
+  /// Sums fn(shard) over the shards, each under its read lock.
+  template <typename Fn>
+  size_t SumOverShards(Fn&& fn) const;
 
   Status Init();
   void MaintainerLoop();
 
-  /// Writes one entry record durably through the slab allocator (lane =
-  /// `shard`, 2 persist events).
-  Result<uint64_t> AllocRecord(const void* data, size_t size, size_t shard) {
-    return slab_->AllocWrite(data, size, static_cast<uint32_t>(shard));
-  }
-  /// Releases an entry record to the slab allocator.
-  Status FreeRecord(uint64_t offset) { return slab_->Free(offset); }
+  /// Runs one maintenance chunk under the shard's write lock and records
+  /// its latency.
+  void RunChunk(size_t shard, uint64_t batch, std::vector<EntryId>& keys);
+
+  /// Writes the record (key, version, data) durably in the key's slab lane
+  /// (2 persist events) under persist site `site`.
+  Result<uint64_t> LandRecord(EntryId key, uint64_t version,
+                              const float* data, const char* site);
+  /// Releases entry records under persist site `site`. A free that fails
+  /// after a simulated crash fault is moot (recovery rebuilds the
+  /// allocator state from the bitmaps); any other failure is fatal.
+  void FreeRecords(const std::vector<uint64_t>& offsets, const char* site);
 
   // --- All *Locked methods require the write lock of shards_[shard]. ---
-  CacheEntry* CreateCachedEntryLocked(size_t shard, EntryId key,
-                                      uint64_t batch);
+  /// Caches `key` at version `batch`: loaded from the record at
+  /// `record_offset` and LRU-linked, or (kNullOffset) a first-touch entry.
+  CacheEntry* CacheEntryLocked(size_t shard, EntryId key, uint64_t batch,
+                               uint64_t record_offset);
   void ProcessChunkLocked(size_t shard, uint64_t batch,
                           std::vector<EntryId>& keys);
-  Status FlushEntryLocked(size_t shard, CacheEntry* entry);
+  Status FlushEntryLocked(CacheEntry* entry);
   void EvictIfNeededLocked(size_t shard);
 
   /// Selects this shard's eviction victim per the configured policy: the
@@ -376,22 +404,21 @@ class PipelinedStore final : public EmbeddingStore {
   /// Re-evaluates `entry`'s pin bit against its frequency estimate `freq`
   /// under the kFreqAware thresholds; updates the shard pin count.
   void UpdatePinLocked(Shard& sh, CacheEntry* entry, uint32_t freq);
-  CacheEntry* LoadToDramLocked(size_t shard, EntryId key,
-                               uint64_t record_offset, uint64_t batch);
-  Status PullPmemDirect(size_t shard, EntryId key, uint64_t batch, float* out);
 
   /// Advances this shard's checkpoint acknowledgements as far as its cache
   /// state allows and publishes any checkpoint all shards have acked.
   /// Requires the shard's write lock; takes ckpt_mutex_ internally.
   void AckCheckpointsLocked(size_t shard);
 
-  /// True if every pre-`cp` state this shard caches is already durable.
-  bool ShardDurableForLocked(const Shard& shard, uint64_t cp) const;
+  /// If a checkpoint is pending: under ckpt_mutex_, runs `ack` (which
+  /// raises shard_acked_) and publishes every pending checkpoint all shards
+  /// have acknowledged; then frees the records publication released.
+  template <typename Fn>
+  void AckAndPublish(Fn&& ack);
 
-  /// Publishes every pending checkpoint acknowledged by all shards, in
-  /// order, with one failure-atomic root store each. Requires ckpt_mutex_;
-  /// returns superseded record offsets to free outside the mutex.
-  std::vector<uint64_t> PublishReadyLocked();
+  /// Publishes `cp` with one root store under persist site `site` and
+  /// raises every shard's acknowledgement to it. Requires ckpt_mutex_.
+  void AdoptCheckpointLocked(uint64_t cp, const char* site);
 
   /// Applies one gradient to a PMem-resident record. Runs under the shard's
   /// shared (read) lock plus the key's push_locks_ stripe; a COW remap
@@ -401,69 +428,52 @@ class PipelinedStore final : public EmbeddingStore {
                         uint64_t record_offset, const float* grad,
                         uint64_t batch);
 
-  /// Head of the checkpoint request queue; false if empty.
-  bool PendingHead(uint64_t* cp) const;
+  /// Oldest / newest pending checkpoint batch, or 0 if none.
+  uint64_t OldestPending() const;
+  uint64_t NewestPending() const;
 
-  /// RecoverFromCrash's body under every shard write lock: reopens the
-  /// pool, resets DRAM and checkpoint state, frees every record recovery
-  /// discards and rebuilds the indexes. Returns the recovered checkpoint.
-  Result<uint64_t> RecoverLocked();
-
-  // --- Snapshot-read support (MultiGet) ---
-
-  /// A superseded record awaiting GC. Until a newer checkpoint publishes
-  /// (and no reader is pinned to an older one) it is still the newest
-  /// record at or below some published checkpoint, so snapshot readers
-  /// resolve it through snapshot_index_.
-  struct DeferredRecord {
-    EntryId key;
-    uint64_t offset;
-    uint64_t version;  // the record's own header version
-  };
-  struct SnapshotRecord {
-    uint64_t offset;
-    uint64_t version;
-  };
-
-  /// Pins the current published checkpoint for a read: while any pin is
-  /// held, publication parks superseded-record GC in limbo_ instead of
-  /// freeing, so every record a reader at the returned version can reach
-  /// stays allocated. Returns the pinned checkpoint batch id.
+  /// Pins the current published checkpoint for a read: every record a
+  /// reader at the returned version can reach stays allocated until the
+  /// matching ReleaseSnapshot.
   uint64_t AcquireSnapshot();
-  /// Drops one pin; the last release drains limbo_ (prunes snapshot_index_
-  /// and frees the parked records).
-  void ReleaseSnapshot();
+  void ReleaseSnapshot(uint64_t cp);
+
+  /// Per ref (key, flushed record): the newest record with version <= cp —
+  /// the flushed one when it qualifies, else the GC's superseded one —
+  /// written back into ref.offset (kNullOffset when the key had no state
+  /// at cp). Takes ckpt_mutex_ only if some ref needs the GC.
+  void ResolveSnapshot(uint64_t cp, std::vector<RecordGc::Record>* refs) const;
+
+  // --- Images and recovery (pipelined_store_image.cc). These require
+  // every shard write lock (Init: a store no other thread sees yet). ---
+
+  /// Resets every volatile structure to an empty cache over the current
+  /// pool: slab attach, fresh indexes, caches and sketches, and the
+  /// checkpoint state reloaded from the root. Returns that checkpoint.
+  Result<uint64_t> ResetLocked();
+
+  /// RecoverFromCrash's body: reopens the pool, sweeps orphan routing
+  /// blobs, resets, frees every record recovery discards and rebuilds the
+  /// indexes. Returns the recovered checkpoint.
+  Result<uint64_t> RecoverLocked();
 
   /// Recovery's record classification (Section V-C), also the backup's
   /// record set: scans every committed entry record and keeps, per key
   /// that `route` covers, the newest record with version <= cp. Every
   /// other record's offset is appended to `discard` when non-null.
-  /// Requires every shard write lock.
-  std::unordered_map<EntryId, SnapshotRecord> ClassifyRecordsLocked(
+  std::unordered_map<EntryId, RecordGc::Record> ClassifyRecordsLocked(
       uint64_t cp, const OwnedSlots& route,
       std::vector<uint64_t>* discard) const;
 
-  /// Offset of `key`'s newest snapshot_index_ record with version <= cp,
-  /// or kNullOffset. Requires ckpt_mutex_.
-  uint64_t SnapshotRecordAtLocked(EntryId key, uint64_t cp) const;
+  /// Classifies at `cp`, frees the discarded records and indexes the
+  /// survivors. The indexes must be empty.
+  void RebuildIndexLocked(uint64_t cp, const OwnedSlots& route);
 
-  /// Removes `record`'s snapshot_index_ entry. Requires ckpt_mutex_.
-  void PruneSnapshotIndexLocked(const DeferredRecord& record);
-  /// Records a superseded record for snapshot readers and queues its GC:
-  /// into deferred_free_[gc_after] normally, or straight into limbo_ when
-  /// only currently-pinned readers can still need it (gc_after already
-  /// published). Requires ckpt_mutex_.
-  void DeferRecordLocked(const DeferredRecord& record, uint64_t gc_after);
-
-  /// Shared core of RemoveKeys / PurgeSlots. Requires *all* shard write
-  /// locks; takes ckpt_mutex_ internally. Unlinks every victim from its
+  /// Shared core of RemoveKeys / PurgeSlots: unlinks every victim from its
   /// index slot and DRAM cache (LRU / fresh / pin bookkeeping included,
-  /// dirty state dropped), detaches the victims' superseded records from
-  /// the deferred-GC queue, and appends record offsets that are safe to
-  /// recycle immediately to `to_free` — records an in-flight snapshot
-  /// reader could still resolve are parked for limbo GC instead.
-  void DropKeysLocked(const std::unordered_set<EntryId>& victims,
-                      std::vector<uint64_t>* to_free);
+  /// dirty state dropped) and hands its records to the GC, freeing what no
+  /// pinned reader can reach under persist site "migrate-gc".
+  void DropKeysLocked(const std::unordered_set<EntryId>& victims);
 
   StoreConfig config_;
   EntryLayout layout_;
@@ -494,29 +504,18 @@ class PipelinedStore final : public EmbeddingStore {
   uint64_t appended_chunks_ = 0;
   uint64_t processed_chunks_ = 0;
 
-  // Checkpoint queue, per-shard acknowledgements and deferred frees
-  // (guarded by ckpt_mutex_). shard_acked_[s] is the highest pending
-  // checkpoint batch shard s has reported durable; a pending checkpoint
-  // publishes only when min(shard_acked_) reaches it.
+  // Checkpoint queue, per-shard acknowledgements and copy-on-write record
+  // lifetimes (guarded by ckpt_mutex_). shard_acked_[s] is the highest
+  // pending checkpoint batch shard s has reported durable; a pending
+  // checkpoint publishes only when min(shard_acked_) reaches it.
   mutable std::mutex ckpt_mutex_;
   std::deque<uint64_t> pending_ckpts_;
   std::vector<uint64_t> shard_acked_;
-  /// Superseded records keyed by the version whose publication makes them
-  /// unreachable by any current or future checkpoint.
-  std::map<uint64_t, std::vector<DeferredRecord>> deferred_free_;
-  /// Snapshot-read side index: per key, the superseded-but-not-yet-freed
-  /// records (parallel to deferred_free_ + limbo_), so a MultiGet pinned at
-  /// checkpoint cp can find the newest record <= cp after the live slot
-  /// moved past it. Guarded by ckpt_mutex_; entries are pruned exactly when
-  /// the record is freed.
-  std::unordered_map<EntryId, std::vector<SnapshotRecord>> snapshot_index_;
-  /// In-flight snapshot reads (MultiGet pins). While > 0, publication moves
-  /// would-be-freed records to limbo_ instead of freeing them.
-  size_t snapshot_pins_ = 0;
-  /// Records whose GC was parked because readers were pinned; drained by
-  /// the last ReleaseSnapshot.
-  std::vector<DeferredRecord> limbo_;
+  RecordGc gc_;
   std::atomic<uint64_t> published_ckpt_{0};
+  /// Payload bytes of the committed routing blob (0: none), for validating
+  /// the blob's decoded lengths.
+  std::atomic<uint64_t> route_bytes_{0};
 
   static constexpr size_t kPushShards = 256;
   std::array<SpinLock, kPushShards> push_locks_;

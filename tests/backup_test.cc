@@ -143,6 +143,59 @@ TEST(RemoteBackupTest, ExportReflectsCheckpointNotLiveState) {
   EXPECT_EQ(restored->Peek(10).ValueOrDie(), at_ckpt);
 }
 
+// Two exports into one log: the import replays both chunks and must keep,
+// per key, the later export's record. Keys trained only before the first
+// export survive from its chunk, so the restored store holds the union.
+TEST(RemoteBackupTest, LaterExportInSameLogOverridesEarlier) {
+  EntryLayout layout(kDim, 0);
+  auto remote_device = MakeDevice(DeviceKind::kSsd);
+  auto remote =
+      CheckpointLog::Create(remote_device.get(), layout).ValueOrDie();
+  std::vector<EntryId> early(48);
+  std::iota(early.begin(), early.end(), 0);  // keys 0..47
+  std::vector<EntryId> late(48);
+  std::iota(late.begin(), late.end(), 32);  // keys 32..79
+  std::map<EntryId, std::vector<float>> expected;
+  {
+    auto device = MakeDevice();
+    auto store = PipelinedStore::Create(SmallConfig(), device.get())
+                     .ValueOrDie();
+    TrainBatch(store.get(), 1, early, 0.1f);
+    TrainBatch(store.get(), 2, early, 0.2f);
+    ASSERT_TRUE(store->RequestCheckpoint(2).ok());
+    ASSERT_TRUE(store->DrainCheckpoints().ok());
+    ASSERT_TRUE(store->ExportCheckpoint(remote.get()).ok());
+    TrainBatch(store.get(), 3, late, 0.3f);
+    TrainBatch(store.get(), 4, late, 0.4f);
+    ASSERT_TRUE(store->RequestCheckpoint(4).ok());
+    ASSERT_TRUE(store->DrainCheckpoints().ok());
+    ASSERT_TRUE(store->ExportCheckpoint(remote.get()).ok());
+    for (EntryId key = 0; key < 80; ++key) {
+      expected[key] = store->Peek(key).ValueOrDie();
+    }
+    TrainBatch(store.get(), 5, early, 0.9f);  // unknown to the backup
+  }
+  ASSERT_EQ(remote->LatestBatch(), 4u);
+
+  auto device = MakeDevice();
+  auto store = PipelinedStore::Create(SmallConfig(), device.get())
+                   .ValueOrDie();
+  ASSERT_TRUE(store->ImportCheckpoint(*remote).ok());
+  auto expect_cp4_state = [&] {
+    EXPECT_EQ(store->PublishedCheckpoint(), 4u);
+    EXPECT_EQ(store->EntryCount(), expected.size());
+    for (const auto& [key, weights] : expected) {
+      auto got = store->Peek(key);
+      ASSERT_TRUE(got.ok()) << "key " << key;
+      EXPECT_EQ(got.value(), weights) << "key " << key;
+    }
+  };
+  expect_cp4_state();
+  device->SimulateCrash();
+  ASSERT_TRUE(store->RecoverFromCrash().ok());
+  expect_cp4_state();
+}
+
 // A backup holds exactly what recovery would restore. Between a routing
 // shrink and the purge of the handed-off slots the store still holds their
 // records, but recovery discards them; so must the backup, or a later

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <numeric>
@@ -109,6 +110,50 @@ TEST(CheckpointLogTest, OutOfSpaceReported) {
   auto records = MakeRecords(layout, keys, 1, 0.0f);
   auto status = log->AppendChunk(1, records.data(), keys.size());
   EXPECT_TRUE(status.IsOutOfSpace());
+}
+
+// ChunkWriter splits a record stream into chunks of kChunkRecords, all
+// tagged with one batch, and Replay returns the records in write order.
+TEST(CheckpointLogTest, ChunkWriterSplitsAndReplaysInOrder) {
+  auto device = MakeDevice();
+  EntryLayout layout(4, 0);
+  auto log = CheckpointLog::Create(device.get(), layout).ValueOrDie();
+  constexpr uint64_t kRecords = CheckpointLog::ChunkWriter::kChunkRecords + 1;
+  CheckpointLog::ChunkWriter writer(log.get(), 7);
+  for (uint64_t key = 0; key < kRecords; ++key) {
+    uint8_t* record = writer.Next();
+    EntryLayout::SetRecordHeader(record, key, 1);
+    std::fill_n(EntryLayout::RecordData(record), 4, static_cast<float>(key));
+  }
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_EQ(log->LatestBatch(), 7u);
+  // Two chunk headers (32 bytes each) plus every record.
+  EXPECT_EQ(log->UsedBytes(), 2 * 32 + kRecords * layout.record_bytes());
+  std::vector<uint64_t> replayed;
+  ASSERT_TRUE(log->Replay(7, [&](uint64_t key, uint64_t, const float* data) {
+                    EXPECT_EQ(data[0], static_cast<float>(key));
+                    replayed.push_back(key);
+                  }).ok());
+  ASSERT_EQ(replayed.size(), kRecords);
+  for (uint64_t i = 0; i < kRecords; ++i) EXPECT_EQ(replayed[i], i);
+}
+
+// Once an append fails the writer appends nothing more, even a tail chunk
+// that would fit, and Finish reports the first error.
+TEST(CheckpointLogTest, ChunkWriterFailureIsSticky) {
+  auto device = MakeDevice({.size_bytes = 1 << 16});
+  EntryLayout layout(4, 0);
+  auto log = CheckpointLog::Create(device.get(), layout).ValueOrDie();
+  CheckpointLog::ChunkWriter writer(log.get(), 1);
+  for (uint64_t key = 0; key <= CheckpointLog::ChunkWriter::kChunkRecords;
+       ++key) {
+    EntryLayout::SetRecordHeader(writer.Next(), key, 1);
+  }
+  EXPECT_FALSE(writer.ok());  // the full first chunk did not fit
+  EXPECT_TRUE(writer.Finish().IsOutOfSpace());
+  EXPECT_EQ(log->UsedBytes(), 0u);
+  EXPECT_EQ(log->LatestBatch(), 0u);
 }
 
 TEST(CheckpointLogTest, OpenRejectsWrongLayout) {

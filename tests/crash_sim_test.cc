@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -107,6 +108,29 @@ TEST(CrashSimTest, CountingRunsAreRepeatable) {
       CrashSim sim(BaseOptions(shards));
       ASSERT_TRUE(sim.CountEvents().ok());
       ASSERT_EQ(sim.event_sites(), reference.event_sites()) << "run " << run;
+    }
+  }
+}
+
+// The default config's persist schedule, pinned event by event against the
+// golden sequences in tests/data (one site path per line). A change that
+// reorders, adds or drops a persist event fails here; a change that alters
+// the schedule on purpose regenerates the files and says why.
+TEST(CrashSimTest, DefaultConfigScheduleMatchesGolden) {
+  for (uint32_t shards : {1u, 16u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string path = std::string(OE_TEST_DATA_DIR) +
+                             "/persist_sites_" + std::to_string(shards) +
+                             "shard.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open()) << "missing golden file " << path;
+    std::vector<std::string> want;
+    for (std::string line; std::getline(in, line);) want.push_back(line);
+    CrashSim sim(BaseOptions(shards));
+    ASSERT_TRUE(sim.CountEvents().ok());
+    ASSERT_EQ(sim.event_sites().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(sim.event_sites()[i], want[i]) << "event " << i + 1;
     }
   }
 }

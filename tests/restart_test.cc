@@ -81,6 +81,47 @@ TEST(PipelinedRestartTest, OpenRejectsRetiredPoolTags) {
   }
 }
 
+// The routing root's blob carries its own lengths. A corrupt extra-key
+// count, or a root naming no committed blob, must fail Open with
+// Corruption instead of reading past the blob.
+TEST(PipelinedRestartTest, OpenRejectsCorruptRoutingBlob) {
+  const std::vector<EntryId> keys = {1, 2, 3, 4};
+  for (const uint64_t bad_count :
+       {uint64_t{3}, uint64_t{1} << 40, uint64_t{0}}) {
+    SCOPED_TRACE("extra count " + std::to_string(bad_count));
+    auto device = MakeDevice({.size_bytes = 8 << 20});
+    {
+      auto store = PipelinedStore::Create(SmallConfig(), device.get())
+                       .ValueOrDie();
+      TrainBatch(store.get(), 1, keys, 0.25f);
+      ASSERT_TRUE(store->RequestCheckpoint(1).ok());
+      ASSERT_TRUE(store->DrainCheckpoints().ok());
+      const std::vector<bool> owned(kNumRoutingSlots, true);
+      ASSERT_TRUE(store->SetOwnedSlots(1, owned, {1, 2}).ok());
+      ASSERT_EQ(store->ReadOwnedSlots().ValueOrDie().extras.size(), 2u);
+    }
+    {
+      auto pool = pmem::PmemPool::Open(device.get()).ValueOrDie();
+      const uint64_t blob = pool->RootGet(PipelinedStore::kRootRouting);
+      ASSERT_NE(blob, 0u);
+      if (bad_count == 0) {
+        // Point the root into the middle of the blob: no committed blob
+        // starts there.
+        pool->RootSet(PipelinedStore::kRootRouting, blob + 8);
+      } else {
+        // [epoch u64][num_slots u64][bitmap][extra_count u64][extras...]
+        const uint64_t at = blob + 8 + 8 + kNumRoutingSlots / 8;
+        device->Write(at, &bad_count, sizeof(bad_count));
+        device->Persist(at, sizeof(bad_count));
+      }
+    }
+    auto opened = PipelinedStore::Open(SmallConfig(), device.get());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+  }
+}
+
 TEST(PipelinedRestartTest, FileBackedRestartRestoresCheckpoint) {
   const std::string path = ::testing::TempDir() + "/oe_restart_test.img";
   std::filesystem::remove(path);
