@@ -345,7 +345,14 @@ Status TcpTransport::CallOnce(NodeId node, uint32_t method,
   if (code != 0) {
     const std::string msg(response->begin(), response->end());
     response->clear();
-    return Status::Internal("remote error: " + msg);
+    // The frame tag is the remote status code (see ServeConnection), so a
+    // kWrongOwner redirect or a checkpoint rejection keeps its meaning, as
+    // over InProcTransport. A tag past the last known code is internal.
+    const StatusCode remote =
+        code <= static_cast<uint32_t>(StatusCode::kWrongOwner)
+            ? static_cast<StatusCode>(code)
+            : StatusCode::kInternal;
+    return Status::FromCode(remote, "remote error: " + msg);
   }
   return Status::OK();
 }

@@ -206,9 +206,12 @@ Status PsService::Dispatch(uint32_t method, Reader* reader,
     case PsMethod::kWaitMaintenance: {
       uint64_t batch = 0;
       OE_RETURN_IF_ERROR(reader->GetU64(&batch));
+      // The maintenance window a driver measures here also holds the
+      // checkpoint write-back pass a seal starts: in training both run
+      // beside the compute window, before the next Push.
       if (auto* pipelined =
               dynamic_cast<storage::PipelinedStore*>(store_)) {
-        pipelined->WaitMaintenance(batch);
+        pipelined->WaitIdle();
       }
       return Status::OK();
     }

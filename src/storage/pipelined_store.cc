@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/logging.h"
 
@@ -107,18 +108,42 @@ void PipelinedStore::MaintainerLoop() {
   uint64_t batch = 0;
   std::vector<EntryId> keys;
   while (access_queue_.Pop(&shard, &batch, &keys)) {
-    RunChunk(shard, batch, keys);
+    const uint64_t owed = RunChunk(shard, batch, keys);
     access_queue_.Done(shard);
+    WriteBackWork pass;
     {
       std::lock_guard<std::mutex> lock(maint_mutex_);
       ++processed_chunks_;
+      writeback_.owed[shard] = std::max(writeback_.owed[shard], owed);
+      // Claim the write-back work only once no chunk is outstanding: Push
+      // waits for exactly that moment, so the pass runs beside the compute
+      // window instead of delaying the push.
+      if (processed_chunks_ == appended_chunks_ && !writeback_.empty()) {
+        pass = TakeWriteBackLocked();
+        ++writebacks_running_;
+      }
+    }
+    maint_cv_.notify_all();
+    if (pass.empty()) continue;
+    Status status = WriteBack(&pass, /*background=*/true);
+    // Flush failures are expected while a simulated crash fault is
+    // suppressing device writes; the shard then stays unacknowledged.
+    if (!status.ok() && !device_->crashed()) {
+      OE_LOG_ERROR << "checkpoint write-back failed: " << status.ToString();
+    }
+    {
+      // What the pass left goes back; the next completion that leaves no
+      // chunk outstanding claims it again.
+      std::lock_guard<std::mutex> lock(maint_mutex_);
+      ReturnWriteBackLocked(&pass);
+      --writebacks_running_;
     }
     maint_cv_.notify_all();
   }
 }
 
-void PipelinedStore::RunChunk(size_t shard, uint64_t batch,
-                              std::vector<EntryId>& keys) {
+uint64_t PipelinedStore::RunChunk(size_t shard, uint64_t batch,
+                                  std::vector<EntryId>& keys) {
   const Nanos chunk_start = WallNowNanos();
   {
     obs::ScopedSpan span("store", "maintenance_chunk");
@@ -127,6 +152,9 @@ void PipelinedStore::RunChunk(size_t shard, uint64_t batch,
   }
   shard_maint_latency_[shard]->Record(
       static_cast<double>(WallNowNanos() - chunk_start));
+  // Sealing `batch` followed every push of an older batch, so this shard
+  // may write back any checkpoint pending from before it.
+  return NewestPending(batch);
 }
 
 template <typename Fn>
@@ -185,7 +213,7 @@ void PipelinedStore::CopyWeights(EntryId key,
   stripe.lock();
   const TaggedPtr ptr = slot.load();
   if (ptr.is_dram()) {
-    std::memcpy(out, ptr.dram<CacheEntry>()->data.get(), weight_bytes);
+    std::memcpy(out, ptr.dram<CacheEntry>()->data(), weight_bytes);
     stripe.unlock();
     dram_stats_.AddRead(weight_bytes);
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -199,19 +227,25 @@ void PipelinedStore::CopyWeights(EntryId key,
   }
 }
 
+void PipelinedStore::CacheEntryDeleter::operator()(CacheEntry* entry) const {
+  entry->~CacheEntry();
+  ::operator delete(entry);
+}
+
 PipelinedStore::CacheEntry* PipelinedStore::CacheEntryLocked(
     size_t shard, EntryId key, uint64_t batch, uint64_t record_offset) {
   Shard& sh = shards_[shard];
-  auto entry = std::make_unique<CacheEntry>();
+  static_assert(alignof(CacheEntry) >= alignof(float));
+  CacheEntryPtr entry(new (::operator new(sizeof(CacheEntry) +
+                                          layout_.data_bytes())) CacheEntry);
   entry->key = key;
   entry->version = batch;
-  entry->data = std::make_unique<float[]>(layout_.values_per_entry());
   if (record_offset == kNullOffset) {
     // First touch: dirty (never flushed) and not LRU-linked until its
     // batch's maintenance chunk.
-    std::fill_n(entry->data.get(), layout_.values_per_entry(), 0.0f);
-    config_.initializer.Fill(key, entry->data.get(), config_.dim);
-    entry->dirty = true;
+    std::fill_n(entry->data(), layout_.values_per_entry(), 0.0f);
+    config_.initializer.Fill(key, entry->data(), config_.dim);
+    MarkDirty(sh, entry.get());
     ++sh.fresh_entries;
     stats_.new_entries.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -219,7 +253,7 @@ PipelinedStore::CacheEntry* PipelinedStore::CacheEntryLocked(
     device_->Read(record_offset, record.data(), record.size());
     entry->pmem_offset = record_offset;
     entry->pmem_version = EntryLayout::RecordVersion(record.data());
-    std::memcpy(entry->data.get(), EntryLayout::RecordData(record.data()),
+    std::memcpy(entry->data(), EntryLayout::RecordData(record.data()),
                 layout_.data_bytes());
   }
   dram_stats_.AddWrite(layout_.data_bytes());
@@ -287,7 +321,7 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
         CopyWeights(key, *slot, out + i * dim);
       } else if (config_.cache_enabled) {
         CacheEntry* entry = CacheEntryLocked(s, key, batch, kNullOffset);
-        std::memcpy(out + i * dim, entry->data.get(), dim * sizeof(float));
+        std::memcpy(out + i * dim, entry->data(), dim * sizeof(float));
         dram_stats_.AddRead(dim * sizeof(float));
       } else {
         // Cache-disabled mode: create the record directly in PMem.
@@ -333,9 +367,16 @@ void PipelinedStore::FinishPullPhase(uint64_t batch) {
     if (nonempty == 0) maint_cv_.notify_all();
     return;
   }
-  // Ablation mode (Fig. 9): maintenance on the critical path.
+  // Ablation mode (Fig. 9): maintenance, write-back included, on the
+  // critical path.
+  WriteBackWork work;
+  work.owed.assign(shards_.size(), 0);
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!chunks[s].empty()) RunChunk(s, batch, chunks[s]);
+    if (!chunks[s].empty()) work.owed[s] = RunChunk(s, batch, chunks[s]);
+  }
+  Status status = WriteBack(&work, /*background=*/false);
+  if (!status.ok() && !device_->crashed()) {
+    OE_LOG_ERROR << "checkpoint write-back failed: " << status.ToString();
   }
   std::lock_guard<std::mutex> lock(maint_mutex_);
   sealed_batch_ = std::max(sealed_batch_, batch);
@@ -352,56 +393,6 @@ void PipelinedStore::WaitMaintenance(uint64_t batch) {
   std::unique_lock<std::mutex> lock(maint_mutex_);
   maint_cv_.wait(lock,
                  [&] { return processed_chunks_ == appended_chunks_; });
-}
-
-uint64_t PipelinedStore::OldestPending() const {
-  std::lock_guard<std::mutex> lock(ckpt_mutex_);
-  return pending_ckpts_.empty() ? 0 : pending_ckpts_.front();
-}
-
-uint64_t PipelinedStore::NewestPending() const {
-  std::lock_guard<std::mutex> lock(ckpt_mutex_);
-  return pending_ckpts_.empty() ? 0 : pending_ckpts_.back();
-}
-
-template <typename Fn>
-void PipelinedStore::AckAndPublish(Fn&& ack) {
-  std::vector<uint64_t> to_free;
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mutex_);
-    if (pending_ckpts_.empty()) return;
-    ack();
-    // Publish every pending checkpoint all shards have acknowledged, in
-    // order, with one failure-atomic root store each.
-    while (!pending_ckpts_.empty()) {
-      const uint64_t cp = pending_ckpts_.front();
-      if (*std::min_element(shard_acked_.begin(), shard_acked_.end()) < cp) {
-        break;
-      }
-      AdoptCheckpointLocked(cp, "ckpt-publish");
-      pending_ckpts_.pop_front();
-      // Records superseded by versions <= cp are now unreachable by any
-      // current or future checkpoint: recycle their space — unless a
-      // snapshot reader is pinned to a checkpoint that still reaches them,
-      // in which case the GC parks them until it releases. Publication
-      // itself is never delayed by readers.
-      gc_.Publish(cp, &to_free);
-      stats_.checkpoints_published.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  FreeRecords(to_free, "ckpt-gc");
-}
-
-void PipelinedStore::AdoptCheckpointLocked(uint64_t cp, const char* site) {
-  // One failure-atomic 8-byte PMem store publishes the checkpoint
-  // (Algorithm 2: PMem.atomicUpdateCheckpointId).
-  {
-    obs::ScopedSpan span("store", "ckpt_publish");
-    pmem::PersistSiteGuard guard(site);
-    pool_->RootSet(kRootCheckpointId, cp);
-  }
-  published_ckpt_.store(cp, std::memory_order_release);
-  for (uint64_t& acked : shard_acked_) acked = std::max(acked, cp);
 }
 
 uint64_t PipelinedStore::AcquireSnapshot() {
@@ -462,27 +453,6 @@ void PipelinedStore::FreeRecords(const std::vector<uint64_t>& offsets,
   }
 }
 
-void PipelinedStore::AckCheckpointsLocked(size_t shard) {
-  const Shard& sh = shards_[shard];
-  AckAndPublish([&] {
-    // Algorithm 2 lines 23-28, per shard: LRU order equals version order,
-    // so the tail carries the minimum version in this shard's cache; once
-    // it exceeds a checkpoint's batch id every state that checkpoint needs
-    // from this shard is durable in PMem. First-touch entries not yet
-    // linked into the LRU are invisible to the tail test and block the ack
-    // outright — their batch's maintenance chunk links (and, if gated,
-    // flushes) them.
-    const CacheEntry* tail = sh.lru.Tail();
-    for (const uint64_t cp : pending_ckpts_) {
-      if (cp <= shard_acked_[shard]) continue;
-      if (sh.fresh_entries > 0 || (tail != nullptr && tail->version <= cp)) {
-        break;
-      }
-      shard_acked_[shard] = cp;
-    }
-  });
-}
-
 void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
                                         std::vector<EntryId>& keys) {
   Shard& sh = shards_[shard];
@@ -512,7 +482,7 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
     if (ptr.is_dram()) {
       CacheEntry* entry = ptr.dram<CacheEntry>();
       if (flush_gate != 0 && entry->version <= flush_gate && entry->dirty) {
-        Status s = FlushEntryLocked(entry);
+        Status s = FlushEntryLocked(sh, entry);
         // Flush failures are expected while a simulated crash fault is
         // suppressing device writes; only real ones are worth logging.
         if (!s.ok() && !device_->crashed()) {
@@ -559,18 +529,15 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
     hit_rate_gauge_->Set(
         static_cast<int64_t>(hits * 10000 / (hits + misses)));
   }
-  // This chunk may have flushed or aged out every pre-checkpoint state the
-  // shard held; tell the cross-shard barrier.
-  AckCheckpointsLocked(shard);
 }
 
-Status PipelinedStore::FlushEntryLocked(CacheEntry* entry) {
+Status PipelinedStore::FlushEntryLocked(Shard& sh, CacheEntry* entry) {
   obs::ScopedSpan span("store", "flush");
   // Copy-on-write: never overwrite a record a checkpoint may still need.
   dram_stats_.AddRead(layout_.data_bytes());
   OE_ASSIGN_OR_RETURN(const uint64_t offset,
                       LandRecord(entry->key, entry->version,
-                                 entry->data.get(), "write-back"));
+                                 entry->data(), "write-back"));
   if (entry->pmem_offset != kNullOffset) {
     // The old record is superseded at entry->version.
     std::vector<uint64_t> to_free;
@@ -585,6 +552,7 @@ Status PipelinedStore::FlushEntryLocked(CacheEntry* entry) {
   entry->pmem_offset = offset;
   entry->pmem_version = entry->version;
   entry->dirty = false;
+  sh.dirty.Remove(entry);
   stats_.flushes.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -652,8 +620,8 @@ void PipelinedStore::EvictIfNeededLocked(size_t shard) {
   // A victim whose version exceeds the pending checkpoint's batch means
   // this shard holds no pre-checkpoint state anymore — acknowledge once up
   // front so the flushes below defer superseded records against the right
-  // checkpoint (ProcessChunkLocked acks again at chunk end, so mid-loop
-  // re-acks would only repeat the scan).
+  // checkpoint (the chunk's write-back pass acks what the evictions leave
+  // behind, so mid-loop re-acks would only repeat the scan).
   AckCheckpointsLocked(shard);
   std::vector<CacheEntry*> failed;  // flush-failed during this invocation
   while (sh.lru.size() > sh.capacity) {
@@ -665,7 +633,7 @@ void PipelinedStore::EvictIfNeededLocked(size_t shard) {
       return;
     }
     if (victim->dirty) {
-      Status s = FlushEntryLocked(victim);
+      Status s = FlushEntryLocked(sh, victim);
       if (!s.ok()) {
         // Bounded retry: pass over this victim and try the next tail-window
         // candidate instead of giving up on eviction outright. Log a stuck
@@ -724,10 +692,10 @@ Status PipelinedStore::Push(const EntryId* keys, size_t n, const float* grads,
           const TaggedPtr ptr = slots[k]->load();
           if (ptr.is_dram()) {
             CacheEntry* entry = ptr.dram<CacheEntry>();
-            config_.optimizer.Apply(entry->data.get(), entry->data.get() + dim,
+            config_.optimizer.Apply(entry->data(), entry->data() + dim,
                                     grads + i * dim, dim, batch);
             entry->version = batch;
-            entry->dirty = true;
+            MarkDirty(shards_[s], entry);
             dram_stats_.AddWrite(layout_.data_bytes());
             stripe.unlock();
           } else {
@@ -756,8 +724,7 @@ Status PipelinedStore::PushPmemRecord(size_t shard,
   EntryLayout::SetRecordVersion(record.data(), batch);
 
   // COW when any published-or-pending checkpoint may need the old record.
-  const uint64_t newest_cp = std::max(
-      published_ckpt_.load(std::memory_order_acquire), NewestPending());
+  const uint64_t newest_cp = NewestCheckpoint();
   if (record_version <= newest_cp) {
     uint64_t offset = kNullOffset;
     {
@@ -797,72 +764,9 @@ Status PipelinedStore::PushPmemRecord(size_t shard,
   return Status::OK();
 }
 
-Status PipelinedStore::RequestCheckpoint(uint64_t batch) {
-  {
-    // A checkpoint captures "state as of the end of `batch`". Once a later
-    // batch has started training (its pull phase sealed), that state may
-    // already be overwritten in place — accepting the request would publish
-    // an inconsistent snapshot, so it is rejected.
-    std::lock_guard<std::mutex> maint_lock(maint_mutex_);
-    if (batch < sealed_batch_) {
-      return Status::FailedPrecondition(
-          "checkpoint batch already surpassed by training");
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mutex_);
-    if (batch <= published_ckpt_.load(std::memory_order_acquire)) {
-      return Status::InvalidArgument("checkpoint batch not increasing");
-    }
-    if (!pending_ckpts_.empty() && batch <= pending_ckpts_.back()) {
-      return Status::InvalidArgument("checkpoint batch not increasing");
-    }
-    pending_ckpts_.push_back(batch);
-  }
-  // Ack sweep: shards that are already durable for `batch` — empty, or
-  // caching only newer state — acknowledge right away, so shards the
-  // workload never touches again cannot stall the publish barrier. The
-  // sweep moves no data (acks are pure metadata); busy shards are skipped
-  // and acknowledge at the end of their next maintenance chunk. Without a
-  // cache every update is already durable in PMem, so each shard
-  // acknowledges now and the last one publishes.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!config_.cache_enabled) {
-      shards_[s].lock.AcquireWrite();
-    } else if (!shards_[s].lock.TryAcquireWrite()) {
-      continue;
-    }
-    AckCheckpointsLocked(s);
-    shards_[s].lock.ReleaseWrite();
-  }
-  return Status::OK();
-}
-
-Status PipelinedStore::DrainCheckpoints() {
-  WaitMaintenance(/*batch=*/0);  // drains every chunk sealed so far
-  AllShardsWriteLock all(shards_);
-  for (uint64_t cp = OldestPending(); cp != 0; cp = OldestPending()) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      for (auto& [key, entry] : shards_[s].cache_entries) {
-        if (entry->version <= cp && entry->dirty) {
-          OE_RETURN_IF_ERROR(FlushEntryLocked(entry.get()));
-        }
-      }
-    }
-    AckAndPublish([&] {
-      for (auto& acked : shard_acked_) acked = std::max(acked, cp);
-    });
-  }
-  return Status::OK();
-}
-
-uint64_t PipelinedStore::PublishedCheckpoint() const {
-  return published_ckpt_.load(std::memory_order_acquire);
-}
-
 Status PipelinedStore::RecoverFromCrash() {
   obs::ScopedSpan span("store", "recover");
-  WaitMaintenance(/*batch=*/0);  // quiesce every chunk sealed so far
+  WaitIdle();  // quiesce every chunk and write-back pass
   uint64_t cp = 0;
   {
     AllShardsWriteLock all(shards_);
@@ -936,7 +840,7 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
           if (ptr.is_dram()) {
             // Only the entry's flushed-record fields are touched: they
             // mutate under the shard write lock, so the read lock makes the
-            // pair consistent. entry->data/version race with pushers (read
+            // pair consistent. entry->data()/version race with pushers (read
             // lock + key stripe) and are never needed here — every cached
             // entry's live version is newer than any published checkpoint.
             const CacheEntry* entry = ptr.dram<CacheEntry>();
@@ -979,7 +883,7 @@ Result<std::vector<float>> PipelinedStore::Peek(EntryId key) const {
   const TaggedPtr ptr = slot->load();
   if (ptr.is_dram()) {
     const CacheEntry* entry = ptr.dram<CacheEntry>();
-    std::copy_n(entry->data.get(), config_.dim, out.begin());
+    std::copy_n(entry->data(), config_.dim, out.begin());
   } else {
     const uint8_t* record = pool_->Translate(ptr.pmem_offset());
     std::copy_n(EntryLayout::RecordData(record), config_.dim, out.begin());

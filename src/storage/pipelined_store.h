@@ -54,6 +54,14 @@ namespace oe::storage {
 ///   - not cached: load into DRAM; if the shard is over capacity, evict its
 ///     LRU tail.
 ///
+/// Checkpoint write-back: each shard keeps an intrusive list of its dirty
+/// cached entries. Once a shard has run a chunk of a batch later than a
+/// pending checkpoint cp (so every push of a batch <= cp has landed), the
+/// maintainer flushes that shard's dirty entries with version <= cp and
+/// acknowledges cp. The pass runs after the seal's last chunk is marked
+/// done, so Push never waits for it; DrainCheckpoints runs the same
+/// routine over every shard.
+///
 /// With config.cache_policy == kFreqAware the maintenance path additionally
 /// keeps a per-shard count-min frequency sketch (one increment per key per
 /// batch, periodic halving decay): a miss is only admitted to DRAM if its
@@ -66,10 +74,11 @@ namespace oe::storage {
 ///
 /// Checkpoint publication is a cross-shard barrier: a shard acknowledges a
 /// pending checkpoint once every pre-checkpoint state it caches is durable
-/// (its LRU tail's version exceeds the checkpoint batch and it holds no
-/// never-maintained first-touch entries), and the Checkpointed Batch ID is
-/// published with one failure-atomic PMem root store only when *all* shards
-/// have acknowledged.
+/// (its write-back pass flushed them, or — metadata only — its LRU tail's
+/// version exceeds the checkpoint batch and it holds no never-maintained
+/// first-touch entries), and the Checkpointed Batch ID is published with
+/// one failure-atomic PMem root store only when *all* shards have
+/// acknowledged.
 ///
 /// Write-backs copy-on-write: a record still needed by a published or
 /// pending checkpoint is never overwritten; superseded records are freed
@@ -86,9 +95,10 @@ namespace oe::storage {
 /// in flight — checkpoint publication is never blocked, only the GC of
 /// those records is parked until their last reader releases.
 ///
-/// Migration, backup and recovery images (the routing root, Export/Import
-/// of checkpoints and slot ranges, the recovery scan) live in
-/// pipelined_store_image.cc.
+/// Checkpoint requests, the write-back passes and publication live in
+/// pipelined_store_ckpt.cc; migration, backup and recovery images (the
+/// routing root, Export/Import of checkpoints and slot ranges, the recovery
+/// scan) in pipelined_store_image.cc.
 class PipelinedStore final : public EmbeddingStore {
  public:
   /// Pool root slot holding the Checkpointed Batch ID.
@@ -230,9 +240,16 @@ class PipelinedStore final : public EmbeddingStore {
   const pmem::DeviceStats& dram_stats() const override { return dram_stats_; }
 
   /// Blocks until all maintenance chunks sealed up to and including `batch`
-  /// have been processed. Push() calls this internally; the simulation
-  /// driver also calls it to measure the maintenance phase.
+  /// have been processed. Push() calls this internally, so it does not
+  /// wait for a checkpoint write-back pass.
   void WaitMaintenance(uint64_t batch);
+
+  /// Blocks until every sealed chunk has been processed and no checkpoint
+  /// write-back pass is running: nothing touches the device behind the
+  /// caller's back (crash harnesses, tests asserting on publication, and
+  /// PsService's wait_maintenance, which the simulation driver times as
+  /// the maintenance phase).
+  void WaitIdle();
 
   /// Entries currently resident in the DRAM cache (summed over shards).
   size_t CachedEntries() const;
@@ -275,8 +292,20 @@ class PipelinedStore final : public EmbeddingStore {
     bool dirty = false;          // weights differ from the PMem record
     bool pinned = false;         // hot-head pin: never an eviction victim
     cache::LruNode lru;
-    std::unique_ptr<float[]> data;  // weights + optimizer state
+    cache::LruNode dirty_node;   // linked into Shard::dirty iff dirty
+
+    /// Weights + optimizer state, stored right behind the entry in the
+    /// same allocation (see CacheEntryLocked): one allocation per cached
+    /// key, no separate array and pointer.
+    float* data() { return reinterpret_cast<float*>(this + 1); }
+    const float* data() const {
+      return reinterpret_cast<const float*>(this + 1);
+    }
   };
+  struct CacheEntryDeleter {
+    void operator()(CacheEntry* entry) const;
+  };
+  using CacheEntryPtr = std::unique_ptr<CacheEntry, CacheEntryDeleter>;
 
   /// One lock stripe. All mutable shard state is guarded by `lock` except
   /// `staged`, which has its own leaf mutex so pullers staging accesses
@@ -286,14 +315,20 @@ class PipelinedStore final : public EmbeddingStore {
     /// Key -> TaggedPtr index (see flat_index.h for the lock contract);
     /// replaced by a fresh one on recovery.
     FlatIndex index;
-    std::unordered_map<EntryId, std::unique_ptr<CacheEntry>> cache_entries;
+    std::unordered_map<EntryId, CacheEntryPtr> cache_entries;
     cache::LruList<CacheEntry, &CacheEntry::lru> lru;
+    // Every dirty cached entry, most recently dirtied first: linked where
+    // an entry turns dirty (first touch, Push) and unlinked by every flush
+    // and erase. Mutated under the write lock, or under the read lock plus
+    // `dirty_lock` (Push, which holds the key's stripe).
+    cache::LruList<CacheEntry, &CacheEntry::dirty_node> dirty;
+    SpinLock dirty_lock;
     size_t capacity = 0;  // this shard's slice of the cache budget
 
     // First-touch entries created by Pull that no maintenance chunk has
-    // linked into the LRU yet. While > 0 the shard cannot acknowledge a
-    // pending checkpoint: such an entry is dirty, invisible to the LRU-tail
-    // durability test, and may carry a version the checkpoint still needs.
+    // linked into the LRU yet. While > 0 the LRU-tail test cannot
+    // acknowledge a pending checkpoint: such an entry is dirty, invisible to
+    // the tail, and may carry a version the checkpoint still needs.
     size_t fresh_entries = 0;
 
     // Frequency-aware policy state (null / zero under kLru). The sketch is
@@ -367,8 +402,37 @@ class PipelinedStore final : public EmbeddingStore {
   void MaintainerLoop();
 
   /// Runs one maintenance chunk under the shard's write lock and records
-  /// its latency.
-  void RunChunk(size_t shard, uint64_t batch, std::vector<EntryId>& keys);
+  /// its latency. Returns the newest pending checkpoint older than `batch`
+  /// (0: none), which the shard now owes a write-back pass.
+  uint64_t RunChunk(size_t shard, uint64_t batch, std::vector<EntryId>& keys);
+
+  /// Checkpoint write-back still to do: owed[s] is the checkpoint shard s
+  /// owes a pass (0: none); `frees` are records a publication released.
+  struct WriteBackWork {
+    std::vector<uint64_t> owed;
+    std::vector<uint64_t> frees;
+    bool empty() const;
+  };
+
+  /// Moves the store's write-back work out / merges leftover work back.
+  /// Both require maint_mutex_.
+  WriteBackWork TakeWriteBackLocked();
+  void ReturnWriteBackLocked(WriteBackWork* work);
+
+  /// The checkpoint write-back of maintenance and DrainCheckpoints: per
+  /// shard s with owed[s] above the published checkpoint, flushes every
+  /// dirty entry with version <= owed[s] under the shard's write lock,
+  /// acknowledges owed[s] and publishes what every shard has acknowledged;
+  /// then frees the released records. Finished work is removed from
+  /// *work. The caller guarantees every push of a batch <= owed[s] has
+  /// landed. Stops at the first failed flush. In the `background` (a
+  /// maintainer's pass) it works in bounded slices, stops before a slice
+  /// once a sealed chunk is waiting (chunks go first), and stops after a
+  /// bounded number of flushes and frees.
+  Status WriteBack(WriteBackWork* work, bool background);
+
+  /// True once a sealed chunk is waiting for a maintainer.
+  bool ChunkWaiting() const;
 
   /// Writes the record (key, version, data) durably in the key's slab lane
   /// (2 persist events) under persist site `site`.
@@ -386,8 +450,12 @@ class PipelinedStore final : public EmbeddingStore {
                                uint64_t record_offset);
   void ProcessChunkLocked(size_t shard, uint64_t batch,
                           std::vector<EntryId>& keys);
-  Status FlushEntryLocked(CacheEntry* entry);
+  Status FlushEntryLocked(Shard& sh, CacheEntry* entry);
   void EvictIfNeededLocked(size_t shard);
+
+  /// Links a clean `entry` into its shard's dirty list and marks it dirty.
+  /// Requires the shard write lock, or the read lock plus the key's stripe.
+  void MarkDirty(Shard& sh, CacheEntry* entry);
 
   /// Selects this shard's eviction victim per the configured policy: the
   /// LRU tail under kLru, else the lowest-frequency unpinned entry within
@@ -405,16 +473,19 @@ class PipelinedStore final : public EmbeddingStore {
   /// under the kFreqAware thresholds; updates the shard pin count.
   void UpdatePinLocked(Shard& sh, CacheEntry* entry, uint32_t freq);
 
-  /// Advances this shard's checkpoint acknowledgements as far as its cache
-  /// state allows and publishes any checkpoint all shards have acked.
-  /// Requires the shard's write lock; takes ckpt_mutex_ internally.
+  /// Algorithm 2's metadata-only ack (eviction, RequestCheckpoint's sweep):
+  /// advances this shard's acknowledgements through every pending
+  /// checkpoint its LRU tail has outgrown and publishes any checkpoint all
+  /// shards have acked. Requires the shard's write lock; takes ckpt_mutex_
+  /// internally.
   void AckCheckpointsLocked(size_t shard);
 
   /// If a checkpoint is pending: under ckpt_mutex_, runs `ack` (which
   /// raises shard_acked_) and publishes every pending checkpoint all shards
-  /// have acknowledged; then frees the records publication released.
+  /// have acknowledged; appends the records publication released to
+  /// `to_free`.
   template <typename Fn>
-  void AckAndPublish(Fn&& ack);
+  void AckAndPublish(Fn&& ack, std::vector<uint64_t>* to_free);
 
   /// Publishes `cp` with one root store under persist site `site` and
   /// raises every shard's acknowledgement to it. Requires ckpt_mutex_.
@@ -428,9 +499,14 @@ class PipelinedStore final : public EmbeddingStore {
                         uint64_t record_offset, const float* grad,
                         uint64_t batch);
 
-  /// Oldest / newest pending checkpoint batch, or 0 if none.
-  uint64_t OldestPending() const;
-  uint64_t NewestPending() const;
+  /// Newest pending checkpoint batch below `bound`, or 0 if none.
+  uint64_t NewestPending(uint64_t bound = ~0ULL) const;
+
+  /// Newest published-or-pending checkpoint, read in one ckpt_mutex_
+  /// critical section: a publication pops the pending id and raises the
+  /// published one together, so the result never misses a checkpoint
+  /// that is published concurrently.
+  uint64_t NewestCheckpoint() const;
 
   /// Pins the current published checkpoint for a read: every record a
   /// reader at the returned version can reach stays allocated until the
@@ -497,12 +573,16 @@ class PipelinedStore final : public EmbeddingStore {
   cache::ShardedAccessQueue<EntryId> access_queue_;
   std::vector<std::thread> maintainers_;
 
-  // Maintenance progress (Push ordering + phase measurement).
+  // Maintenance progress (Push ordering + phase measurement) and the
+  // write-back work. The maintainer that completes the last outstanding
+  // chunk claims the work in the same critical section.
   mutable std::mutex maint_mutex_;
   std::condition_variable maint_cv_;
   uint64_t sealed_batch_ = 0;
   uint64_t appended_chunks_ = 0;
   uint64_t processed_chunks_ = 0;
+  WriteBackWork writeback_;
+  size_t writebacks_running_ = 0;
 
   // Checkpoint queue, per-shard acknowledgements and copy-on-write record
   // lifetimes (guarded by ckpt_mutex_). shard_acked_[s] is the highest

@@ -58,8 +58,9 @@ Result<uint64_t> PipelinedStore::ResetLocked() {
                        config_.cache_policy == CachePolicy::kFreqAware;
   for (auto& shard : shards_) {
     shard.index = FlatIndex{};
-    // Unlink LRU nodes before the entries that embed them are freed.
+    // Unlink list nodes before the entries that embed them are freed.
     shard.lru.Clear();
+    shard.dirty.Clear();
     shard.cache_entries.clear();
     shard.fresh_entries = 0;
     shard.pinned_entries = 0;
@@ -74,6 +75,12 @@ Result<uint64_t> PipelinedStore::ResetLocked() {
     shard.staged.clear();
   }
   pinned_gauge_->Set(0);
+  {
+    // The pool is rescanned: pending write-back and frees are moot.
+    std::lock_guard<std::mutex> lock(maint_mutex_);
+    writeback_.owed.assign(shards_.size(), 0);
+    writeback_.frees.clear();
+  }
   const uint64_t cp = pool_->RootGet(kRootCheckpointId);
   published_ckpt_.store(cp, std::memory_order_release);
   std::lock_guard<std::mutex> lock(ckpt_mutex_);
@@ -370,7 +377,7 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
     if (entry != nullptr && entry->dirty) {
       uint8_t* record = writer.Next();
       EntryLayout::SetRecordHeader(record, entry->key, entry->version);
-      std::memcpy(EntryLayout::RecordData(record), entry->data.get(),
+      std::memcpy(EntryLayout::RecordData(record), entry->data(),
                   layout_.data_bytes());
       dram_stats_.AddRead(layout_.data_bytes());
     } else if (flushed[i].offset != kNullOffset &&
@@ -483,6 +490,7 @@ void PipelinedStore::DropKeysLocked(
       // Dirty DRAM state is dropped outright: the key's live head was
       // either exported to the new owner (purge) or never client-visible
       // here (abort).
+      if (entry->dirty) sh.dirty.Remove(entry);
       sh.cache_entries.erase(key);
     } else {
       head.offset = ptr.pmem_offset();

@@ -45,6 +45,10 @@ Status CrashSim::RunWorkload(pmem::PmemDevice* device, PipelinedStore* store,
     if (device->crashed()) return Status::OK();  // doomed execution: stop
     OE_RETURN_IF_ERROR(s);
     store->FinishPullPhase(b);
+    // The checkpoint write-back pass this seal may start runs beside
+    // Push; letting it finish first keeps the persist schedule a total
+    // order (a trainer's compute window plays this part).
+    if (options_.quiesce_before_push) store->WaitIdle();
     s = store->Push(keys.data(), keys.size(), grads.data(), b);
     if (device->crashed()) return Status::OK();
     OE_RETURN_IF_ERROR(s);
@@ -135,7 +139,7 @@ Result<CrashPointResult> CrashSim::RunPlan(const pmem::FaultPlan& plan) {
   OE_RETURN_IF_ERROR(RunWorkload(device.get(), store.get(), false));
   // Quiesce the maintainer (post-fault it still drains its queue; its
   // writes are suppressed) so no thread touches the device mid-crash.
-  store->WaitMaintenance(options_.batches);
+  store->WaitIdle();
   device->SimulateCrash();
   device->ClearFault();
 

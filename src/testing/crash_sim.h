@@ -20,9 +20,16 @@ namespace oe::testing {
 struct CrashSimOptions {
   /// Engine config. maintainer_threads is forced to 1: with one maintainer
   /// and a single driver thread the persist sequence is a deterministic
-  /// total order (the driver is blocked in Push/WaitMaintenance whenever
-  /// the maintainer persists), which crash-point enumeration requires.
+  /// total order (the driver is blocked in WaitIdle whenever the
+  /// maintainer persists), which crash-point enumeration requires.
   storage::StoreConfig store;
+
+  /// Wait for the maintainer (chunks and write-back passes) between each
+  /// batch's FinishPullPhase and Push. Off, a checkpoint write-back pass
+  /// runs beside Push as it does in training: the persist order then
+  /// varies run to run, so EnumerateAll's schedule-identity checks do not
+  /// apply, but every per-run recovery invariant of RunPlan does.
+  bool quiesce_before_push = true;
 
   uint64_t device_bytes = 4ULL << 20;
   pmem::CrashFidelity fidelity = pmem::CrashFidelity::kStrict;

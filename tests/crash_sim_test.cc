@@ -154,6 +154,30 @@ TEST(CrashSimTest, EnumerateAllWithFreqPolicy) {
   ExpectAllOk(sim, results);
 }
 
+// The same policy with a write-back pass running beside Push, as in
+// training: under kFreqAware, Push copies-on-write or updates in place the
+// PMem-resident records the admission filter rejected, while the pass may
+// publish the checkpoint that decides between the two. The persist order
+// is not fixed, so each crash point is checked only for recovery
+// consistency: a requested checkpoint recovered bit-exactly.
+TEST(CrashSimTest, FreqPolicyPassBesidePushRecoversConsistently) {
+  const uint64_t seed = oe::test::TestSeed(20261017);
+  SCOPED_TRACE("OE_TEST_SEED=" + std::to_string(seed));
+  CrashSimOptions options = BaseOptions(4);
+  options.store.cache_policy = oe::storage::CachePolicy::kFreqAware;
+  options.store.cache_bytes = 512;
+  options.store.hot_pin_min_freq = 2;
+  options.quiesce_before_push = false;
+  options.batches = 24;
+  options.checkpoint_every = 2;
+  CrashSim sim(options);
+  ASSERT_TRUE(sim.CountEvents().ok());
+  std::vector<CrashPointResult> results;
+  ASSERT_TRUE(sim.RunRandomSchedule(seed, /*rounds=*/200, &results).ok());
+  ASSERT_EQ(results.size(), 200u);
+  ExpectAllOk(sim, results);
+}
+
 // Randomized schedules (crash or torn write at a random event) must hold
 // the same invariants. The seed is overridable via OE_TEST_SEED and is
 // attached to every failure message for reproduction.

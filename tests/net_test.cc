@@ -224,6 +224,30 @@ TEST(TcpTest, RemoteErrorSurfacesMessage) {
   EXPECT_NE(status.message().find("bad payload"), std::string::npos);
 }
 
+// The server sends the handler's status code as the frame tag; the client
+// must surface that code, not a generic internal error, so a routing
+// redirect or a rejected checkpoint is handled as such over TCP.
+TEST(TcpTest, RemoteErrorKeepsCode) {
+  auto server = TcpServer::Start(0, [](uint32_t method, const Buffer&,
+                                       Buffer*) {
+    if (method == 1) return Status::WrongOwner("slot 7 moved");
+    if (method == 2) {
+      return Status::FailedPrecondition("checkpoint batch already surpassed");
+    }
+    return Status::OK();
+  }).ValueOrDie();
+  TcpTransport transport;
+  transport.AddNode(0, "127.0.0.1", server->port());
+  Buffer response;
+  const Status redirect = transport.Call(0, 1, {}, &response);
+  EXPECT_EQ(redirect.code(), StatusCode::kWrongOwner) << redirect.ToString();
+  EXPECT_NE(redirect.message().find("slot 7 moved"), std::string::npos);
+  const Status rejected = transport.Call(0, 2, {}, &response);
+  EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition)
+      << rejected.ToString();
+  EXPECT_TRUE(transport.Call(0, 3, {}, &response).ok());
+}
+
 TEST(TcpTest, MultipleSequentialCallsReuseConnection) {
   std::atomic<int> calls{0};
   auto server = TcpServer::Start(0, [&](uint32_t, const Buffer&,

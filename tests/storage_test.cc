@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -826,6 +828,323 @@ TEST(ShardedPipelinedStoreTest, CheckpointBarrierWaitsForEveryShard) {
       EXPECT_NEAR(got[d], init[d] - 0.5f * 0.1f, 1e-5) << key;
     }
   }
+}
+
+// ---------- Checkpoint write-back on the maintainer ----------
+
+// Checkpoint cp is written back once a chunk of batch cp + 1 has run: each
+// shard flushes its dirty entries with version <= cp and acknowledges, so
+// cp publishes with no drain — and a drain then has nothing left to flush.
+TEST_F(PipelinedStoreTest, CheckpointPublishesInNextBatchMaintenance) {
+  // Two keys per shard at batch 1; batch 2 re-touches one of them, so the
+  // write-back (not batch 2's gated chunk flush) must make the other one
+  // durable.
+  std::vector<EntryId> all;
+  std::vector<EntryId> half;
+  for (size_t s = 0; s < store_->NumShards(); ++s) {
+    const auto keys = KeysInShard(*store_, s, 2, 0);
+    all.insert(all.end(), keys.begin(), keys.end());
+    half.push_back(keys[0]);
+  }
+  RunBatch(1, all, 0.1f);
+  ASSERT_TRUE(store_->RequestCheckpoint(1).ok());
+  EXPECT_EQ(store_->PublishedCheckpoint(), 0u);
+  RunBatch(2, half, 0.1f);
+  store_->WaitIdle();
+  EXPECT_EQ(store_->PublishedCheckpoint(), 1u);
+
+  const uint64_t flushes = store_->stats().flushes.load();
+  ASSERT_TRUE(store_->DrainCheckpoints().ok());
+  EXPECT_EQ(store_->stats().flushes.load(), flushes);
+
+  // Checkpoint 1 holds batch 1's update of every key, batch 2's of none.
+  device_->SimulateCrash();
+  ASSERT_TRUE(store_->RecoverFromCrash().ok());
+  EXPECT_EQ(store_->PublishedCheckpoint(), 1u);
+  for (EntryId key : all) {
+    std::vector<float> init(kDim);
+    config_.initializer.Fill(key, init.data(), kDim);
+    const auto got = store_->Peek(key).ValueOrDie();
+    for (uint32_t d = 0; d < kDim; ++d) {
+      EXPECT_NEAR(got[d], init[d] - 0.5f * 0.1f, 1e-6) << key;
+    }
+  }
+}
+
+// RequestCheckpoint(cp) may come before Push(cp): the "surpassed" rule
+// rejects only cp < the sealed batch. Batch cp's own chunks must not write
+// cp back — its pushes have not landed — so the publish waits for batch
+// cp + 1's maintenance, and recovery returns cp's push.
+TEST_F(PipelinedStoreTest, RequestBeforePushIsNotAckedEarly) {
+  std::vector<EntryId> keys(40);
+  std::iota(keys.begin(), keys.end(), 1);
+  std::vector<float> w(keys.size() * kDim);
+  ASSERT_TRUE(store_->Pull(keys.data(), keys.size(), 1, w.data()).ok());
+  store_->FinishPullPhase(1);
+  ASSERT_TRUE(store_->RequestCheckpoint(1).ok());
+  store_->WaitIdle();
+  EXPECT_EQ(store_->PublishedCheckpoint(), 0u);
+  std::vector<float> grads(keys.size() * kDim, 0.2f);
+  ASSERT_TRUE(
+      store_->Push(keys.data(), keys.size(), grads.data(), 1).ok());
+  RunBatch(2, keys, 0.7f);
+  store_->WaitIdle();
+  EXPECT_EQ(store_->PublishedCheckpoint(), 1u);
+
+  device_->SimulateCrash();
+  ASSERT_TRUE(store_->RecoverFromCrash().ok());
+  EXPECT_EQ(store_->PublishedCheckpoint(), 1u);
+  EXPECT_EQ(store_->EntryCount(), keys.size());
+  for (EntryId key : keys) {
+    std::vector<float> init(kDim);
+    config_.initializer.Fill(key, init.data(), kDim);
+    const auto got = store_->Peek(key).ValueOrDie();
+    for (uint32_t d = 0; d < kDim; ++d) {
+      EXPECT_NEAR(got[d], init[d] - 0.5f * 0.2f, 1e-6) << key;
+    }
+  }
+}
+
+// bench_ablation_design's row [1], on its workload: 20 batches of 1,024
+// hot keys, everything cached. Without a pending checkpoint nothing is
+// written back; with one requested every 5 batches, each checkpoint writes
+// every dirty entry back exactly once — 4 x 1,024 flushes, whether batch
+// cp + 1's chunk, the maintainer's write-back or the final drain does it.
+TEST(PipelinedWriteBackTest, VersionGatedFlushCountMatchesAblation) {
+  StoreConfig config;
+  config.dim = 64;
+  config.cache_bytes = 64ULL << 20;
+  std::vector<EntryId> keys(1024);
+  std::iota(keys.begin(), keys.end(), 0);
+  std::vector<float> scratch(keys.size() * config.dim);
+  std::vector<float> grads(keys.size() * config.dim, 0.01f);
+  auto run = [&](PipelinedStore* store, bool checkpoints) {
+    for (uint64_t batch = 1; batch <= 20; ++batch) {
+      ASSERT_TRUE(
+          store->Pull(keys.data(), keys.size(), batch, scratch.data()).ok());
+      store->FinishPullPhase(batch);
+      store->WaitMaintenance(batch);
+      ASSERT_TRUE(
+          store->Push(keys.data(), keys.size(), grads.data(), batch).ok());
+      if (checkpoints && batch % 5 == 0) {
+        ASSERT_TRUE(store->RequestCheckpoint(batch).ok());
+      }
+    }
+    ASSERT_TRUE(store->DrainCheckpoints().ok());
+  };
+
+  auto device_a = MakeDevice({64 << 20});
+  auto no_ckpt = PipelinedStore::Create(config, device_a.get()).ValueOrDie();
+  run(no_ckpt.get(), false);
+  EXPECT_EQ(no_ckpt->stats().flushes.load(), 0u);
+
+  auto device_b = MakeDevice({64 << 20});
+  auto gated = PipelinedStore::Create(config, device_b.get()).ValueOrDie();
+  run(gated.get(), true);
+  EXPECT_EQ(gated->stats().flushes.load(), 4u * keys.size());
+  EXPECT_EQ(gated->PublishedCheckpoint(), 20u);
+}
+
+// The write-back pass of batch cp + 1 publishes checkpoint cp while that
+// batch's Push runs. Under kFreqAware the keys the admission filter
+// rejects stay PMem-resident, and Push updates their records directly:
+// copy-on-write if the newest published-or-pending checkpoint may need the
+// old record, else in place. A choice that misses the checkpoint being
+// published overwrites a record it needs. Each round warms a hot set that
+// fills the cache, trains it with a cold set in batch cp, and trains only
+// the cold set in batch cp + 1: the admission filter keeps the cold keys
+// in PMem, and the pass has the hot set's flushes to do beside that Push.
+// Then it crashes and compares the recovered model with checkpoint cp.
+TEST(PipelinedWriteBackTest, PushBesidePublishKeepsCheckpoint) {
+  auto device = MakeDevice();
+  StoreConfig config = SmallConfig();
+  config.cache_policy = CachePolicy::kFreqAware;
+  config.store_shards = 4;
+  auto store = PipelinedStore::Create(config, device.get()).ValueOrDie();
+  const size_t hot_keys = 2 * store->CacheCapacityEntries();
+  std::vector<EntryId> all(hot_keys + 1024);
+  std::iota(all.begin(), all.end(), 1);
+  const std::vector<EntryId> hot(all.begin(), all.begin() + hot_keys);
+  const std::vector<EntryId> cold(all.begin() + hot_keys, all.end());
+  std::vector<float> scratch(all.size() * kDim);
+  std::vector<float> grads(all.size() * kDim, 0.125f);
+  auto run_batch = [&](uint64_t batch, const std::vector<EntryId>& keys) {
+    ASSERT_TRUE(
+        store->Pull(keys.data(), keys.size(), batch, scratch.data()).ok());
+    store->FinishPullPhase(batch);
+    ASSERT_TRUE(
+        store->Push(keys.data(), keys.size(), grads.data(), batch).ok());
+  };
+  const uint64_t rejects_before = store->stats().admission_rejects.load();
+  uint64_t batch = 1;
+  for (int round = 0; round < 24; ++round) {
+    for (int warm = 0; warm < 3; ++warm) run_batch(batch++, hot);
+    const uint64_t cp = batch++;
+    run_batch(cp, all);
+    std::vector<std::vector<float>> want;
+    for (EntryId key : all) want.push_back(store->Peek(key).ValueOrDie());
+    ASSERT_TRUE(store->RequestCheckpoint(cp).ok());
+    std::vector<float> out(cold.size() * kDim);
+    ASSERT_TRUE(store->Pull(cold.data(), cold.size(), cp + 1, out.data()).ok());
+    store->FinishPullPhase(cp + 1);
+    store->WaitMaintenance(cp + 1);
+    // Let the pass take the first shard's write lock before Push does; it
+    // then stays a shard ahead, and the last ack publishes while Push is
+    // still updating records.
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ASSERT_TRUE(
+        store->Push(cold.data(), cold.size(), grads.data(), cp + 1).ok());
+    store->WaitIdle();
+    ASSERT_EQ(store->PublishedCheckpoint(), cp);
+    device->SimulateCrash();
+    ASSERT_TRUE(store->RecoverFromCrash().ok());
+    ASSERT_EQ(store->PublishedCheckpoint(), cp);
+    for (size_t i = 0; i < all.size(); ++i) {
+      auto got = store->Peek(all[i]);
+      ASSERT_TRUE(got.ok()) << "checkpoint " << cp << " lost key " << all[i];
+      ASSERT_EQ(got.value(), want[i])
+          << "checkpoint " << cp << " key " << all[i];
+    }
+  }
+  EXPECT_GT(store->stats().admission_rejects.load(), rejects_before);
+}
+
+// Every path that destroys cached entries must unlink them from the shard's
+// dirty list; a dangling link is walked by the next write-back (an ASan
+// finding). Each case leaves dirty entries — first-touch and pushed — runs
+// one destroying path, then trains one more batch, drains, and checks that
+// a crash recovers exactly the drained state.
+class DirtyListLifetimeTest : public PipelinedStoreTest {
+ protected:
+  static std::vector<EntryId> Range(EntryId first, size_t n) {
+    std::vector<EntryId> keys(n);
+    std::iota(keys.begin(), keys.end(), first);
+    return keys;
+  }
+
+  // Batches 1-2 over `keys`, checkpoint 1 published and checkpoint 2
+  // pending: every entry is dirty at version 2 when the path runs.
+  void LeaveDirty(PipelinedStore* store, const std::vector<EntryId>& keys) {
+    for (uint64_t batch = 1; batch <= 2; ++batch) {
+      std::vector<float> w(keys.size() * kDim);
+      ASSERT_TRUE(
+          store->Pull(keys.data(), keys.size(), batch, w.data()).ok());
+      store->FinishPullPhase(batch);
+      std::vector<float> grads(keys.size() * kDim, 0.1f);
+      ASSERT_TRUE(
+          store->Push(keys.data(), keys.size(), grads.data(), batch).ok());
+      ASSERT_TRUE(store->RequestCheckpoint(batch).ok());
+      if (batch == 1) {
+        ASSERT_TRUE(store->DrainCheckpoints().ok());
+      }
+    }
+  }
+
+  // One more batch over `keys`, its checkpoint drained; a crash must land
+  // on it.
+  void FinishAndRecover(uint64_t batch, const std::vector<EntryId>& keys) {
+    RunBatch(batch, keys, 0.3f);
+    ASSERT_TRUE(store_->RequestCheckpoint(batch).ok());
+    ASSERT_TRUE(store_->DrainCheckpoints().ok());
+    ASSERT_EQ(store_->PublishedCheckpoint(), batch);
+    std::map<EntryId, std::vector<float>> want;
+    for (EntryId key : keys) want[key] = store_->Peek(key).ValueOrDie();
+    const size_t entries = store_->EntryCount();
+    device_->SimulateCrash();
+    ASSERT_TRUE(store_->RecoverFromCrash().ok());
+    EXPECT_EQ(store_->PublishedCheckpoint(), batch);
+    EXPECT_EQ(store_->EntryCount(), entries);
+    for (const auto& [key, weights] : want) {
+      EXPECT_EQ(store_->Peek(key).ValueOrDie(), weights) << key;
+    }
+  }
+
+  static std::vector<bool> SlotsOf(const std::vector<EntryId>& keys) {
+    std::vector<bool> slots(kNumRoutingSlots, false);
+    for (EntryId key : keys) slots[SlotOfKey(key)] = true;
+    return slots;
+  }
+};
+
+TEST_F(DirtyListLifetimeTest, Eviction) {
+  const size_t capacity = store_->CacheCapacityEntries();
+  const auto hot = Range(1, capacity / 2);
+  LeaveDirty(store_.get(), hot);
+  // A batch of fresh keys three times the cache evicts the dirty entries.
+  const auto churn = Range(100000, capacity * 3);
+  RunBatch(3, churn, 0.2f);
+  EXPECT_GT(store_->stats().evictions.load(), capacity);
+  FinishAndRecover(4, hot);
+}
+
+TEST_F(DirtyListLifetimeTest, RemoveKeys) {
+  const auto keys = Range(1, 60);
+  LeaveDirty(store_.get(), keys);
+  ASSERT_TRUE(store_->RemoveKeys(Range(1, 30)).ok());
+  FinishAndRecover(3, Range(31, 30));
+}
+
+TEST_F(DirtyListLifetimeTest, PurgeSlots) {
+  const auto keys = Range(1, 60);
+  LeaveDirty(store_.get(), keys);
+  ASSERT_TRUE(store_->PurgeSlots(SlotsOf(Range(1, 30)), {}).ok());
+  std::vector<EntryId> kept;
+  for (EntryId key : keys) {
+    if (store_->Peek(key).ok()) kept.push_back(key);
+  }
+  EXPECT_LT(kept.size(), keys.size());
+  FinishAndRecover(3, kept);
+}
+
+TEST_F(DirtyListLifetimeTest, ImportRange) {
+  // The source publishes its range; the target imports it beside its own
+  // dirty entries and trains both.
+  auto source_device = MakeDevice();
+  auto source = PipelinedStore::Create(config_, source_device.get())
+                    .ValueOrDie();
+  const auto moved = Range(5000, 40);
+  LeaveDirty(source.get(), moved);
+  ASSERT_TRUE(source->DrainCheckpoints().ok());
+  auto log_device = MakeDevice();
+  auto log = ckpt::CheckpointLog::Create(log_device.get(),
+                                         EntryLayout(kDim, 0))
+                 .ValueOrDie();
+  ASSERT_TRUE(source->ExportRange(SlotsOf(moved), {}, log.get()).ok());
+
+  const auto local = Range(1, 40);
+  LeaveDirty(store_.get(), local);
+  std::vector<EntryId> imported;
+  ASSERT_TRUE(store_->ImportRange(*log, &imported).ok());
+  EXPECT_EQ(imported.size(), moved.size());
+  std::vector<EntryId> all(local);
+  all.insert(all.end(), moved.begin(), moved.end());
+  FinishAndRecover(3, all);
+}
+
+TEST_F(DirtyListLifetimeTest, ImportCheckpoint) {
+  auto source_device = MakeDevice();
+  auto source = PipelinedStore::Create(config_, source_device.get())
+                    .ValueOrDie();
+  const auto keys = Range(1, 60);
+  LeaveDirty(source.get(), keys);
+  ASSERT_TRUE(source->DrainCheckpoints().ok());
+  auto log_device = MakeDevice();
+  auto log = ckpt::CheckpointLog::Create(log_device.get(),
+                                         EntryLayout(kDim, 0))
+                 .ValueOrDie();
+  ASSERT_TRUE(source->ExportCheckpoint(log.get()).ok());
+  ASSERT_TRUE(store_->ImportCheckpoint(*log).ok());
+  EXPECT_EQ(store_->PublishedCheckpoint(), 2u);
+  FinishAndRecover(3, keys);
+}
+
+TEST_F(DirtyListLifetimeTest, RecoverFromCrash) {
+  const auto keys = Range(1, 60);
+  LeaveDirty(store_.get(), keys);
+  device_->SimulateCrash();
+  ASSERT_TRUE(store_->RecoverFromCrash().ok());
+  EXPECT_EQ(store_->PublishedCheckpoint(), 1u);
+  FinishAndRecover(3, keys);
 }
 
 // Property sweep: random workloads with checkpoints and adversarial
