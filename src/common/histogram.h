@@ -7,6 +7,10 @@
 
 namespace oe {
 
+namespace obs {
+class Distribution;
+}  // namespace obs
+
 /// Log-bucketed latency/size histogram (RocksDB-style). Thread-compatible:
 /// callers synchronize externally or keep one per thread and Merge().
 class Histogram {
@@ -28,15 +32,18 @@ class Histogram {
 
   std::string ToString() const;
 
-  /// The bucket scheme is public so lock-free mirrors (obs::Distribution
-  /// keeps one atomic counter per bucket) can reproduce identical
-  /// percentile math and be validated against this class.
+  /// The bucket scheme is public so the lock-free mirror (obs::Distribution
+  /// keeps one atomic counter per bucket) records into the same buckets.
   static constexpr int kNumBuckets = 132;
   /// Upper bound of bucket i (exclusive); buckets grow ~exponentially.
   static double BucketLimit(int bucket);
   static int BucketFor(double value);
 
  private:
+  /// Snapshots its atomic buckets into a Histogram, so both share one
+  /// percentile implementation.
+  friend class obs::Distribution;
+
   uint64_t count_;
   double sum_;
   double min_;

@@ -42,6 +42,18 @@ obs::Distribution* Transport::RpcLatencyFor(NodeId node) {
   return dist;
 }
 
+void BackoffSleep(const RpcOptions& options, int retry, int64_t cap_ms) {
+  int64_t sleep_ms = std::max<int64_t>(1, options.backoff_initial_ms);
+  for (int i = 0; i < retry; ++i) {
+    sleep_ms = std::min<int64_t>(
+        std::max<int64_t>(1, options.backoff_max_ms),
+        static_cast<int64_t>(static_cast<double>(sleep_ms) *
+                             options.backoff_multiplier));
+  }
+  if (cap_ms > 0) sleep_ms = std::min(sleep_ms, cap_ms);
+  std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+}
+
 Status Transport::Call(NodeId node, uint32_t method, const Buffer& request,
                        Buffer* response) {
   obs::ScopedSpan span("net", "rpc");
@@ -58,7 +70,6 @@ Status Transport::CallWithRetries(NodeId node, uint32_t method,
   const Nanos start = WallNowNanos();
   const Nanos deadline =
       options.deadline_ms > 0 ? start + options.deadline_ms * 1'000'000 : 0;
-  int64_t backoff_ms = std::max<int64_t>(1, options.backoff_initial_ms);
   for (int attempt = 0;; ++attempt) {
     Status status = CallOnce(node, method, request, response);
     if (status.code() == StatusCode::kTimedOut) {
@@ -69,6 +80,7 @@ Status Transport::CallWithRetries(NodeId node, uint32_t method,
     if (!IsRetryable(status.code()) || attempt >= options.max_retries) {
       return status;
     }
+    int64_t cap_ms = 0;
     if (deadline != 0) {
       const Nanos remaining = deadline - WallNowNanos();
       if (remaining <= 0) {
@@ -78,16 +90,12 @@ Status Transport::CallWithRetries(NodeId node, uint32_t method,
                                 " attempt(s); last: " + status.ToString());
       }
       // Never sleep past the deadline: cap the backoff at what is left.
-      backoff_ms = std::min<int64_t>(backoff_ms, remaining / 1'000'000 + 1);
+      cap_ms = remaining / 1'000'000 + 1;
     }
     {
       obs::ScopedSpan backoff_span("net", "backoff");
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      BackoffSleep(options, attempt, cap_ms);
     }
-    backoff_ms = std::min<int64_t>(
-        options.backoff_max_ms,
-        static_cast<int64_t>(static_cast<double>(backoff_ms) *
-                             options.backoff_multiplier));
     stats_.retries.fetch_add(1, std::memory_order_relaxed);
     response->clear();
   }

@@ -59,42 +59,17 @@ void Distribution::Record(double value) {
       1, std::memory_order_relaxed);
 }
 
-DistributionSnapshot Distribution::Snapshot() const {
-  DistributionSnapshot snap;
-  snap.buckets.resize(Histogram::kNumBuckets);
+Histogram Distribution::Snapshot() const {
+  Histogram snap;
   for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-    snap.buckets[static_cast<size_t>(i)] =
+    snap.buckets_[static_cast<size_t>(i)] =
         buckets_[i].load(std::memory_order_relaxed);
   }
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  const double min = min_.load(std::memory_order_relaxed);
-  const double max = max_.load(std::memory_order_relaxed);
-  snap.min = snap.count == 0 ? 0.0 : min;
-  snap.max = snap.count == 0 ? 0.0 : max;
+  snap.count_ = count_.load(std::memory_order_relaxed);
+  snap.sum_ = sum_.load(std::memory_order_relaxed);
+  snap.min_ = min_.load(std::memory_order_relaxed);
+  snap.max_ = max_.load(std::memory_order_relaxed);
   return snap;
-}
-
-double DistributionSnapshot::Percentile(double p) const {
-  // Mirrors Histogram::Percentile on the frozen buckets.
-  if (count == 0) return 0.0;
-  const double threshold = static_cast<double>(count) * (p / 100.0);
-  double cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    cumulative += static_cast<double>(buckets[i]);
-    if (cumulative >= threshold) {
-      const double left =
-          (i == 0) ? 0.0 : Histogram::BucketLimit(static_cast<int>(i) - 1);
-      const double right = Histogram::BucketLimit(static_cast<int>(i));
-      const double bucket_count = static_cast<double>(buckets[i]);
-      const double pos =
-          bucket_count == 0
-              ? 0.0
-              : (threshold - (cumulative - bucket_count)) / bucket_count;
-      return std::clamp(left + (right - left) * pos, min, max);
-    }
-  }
-  return max;
 }
 
 MetricsRegistry& MetricsRegistry::Default() {
@@ -220,12 +195,12 @@ std::string MetricsSnapshot::ToJson() const {
         json.Key("value").Int(metric.gauge);
         break;
       case MetricValue::Kind::kDistribution: {
-        const DistributionSnapshot& d = metric.distribution;
+        const Histogram& d = metric.distribution;
         json.Key("kind").String("distribution");
-        json.Key("count").UInt(d.count);
-        json.Key("sum").Double(d.sum);
-        json.Key("min").Double(d.min);
-        json.Key("max").Double(d.max);
+        json.Key("count").UInt(d.count());
+        json.Key("sum").Double(d.sum());
+        json.Key("min").Double(d.min());
+        json.Key("max").Double(d.max());
         json.Key("mean").Double(d.Mean());
         json.Key("p50").Double(d.Percentile(50));
         json.Key("p90").Double(d.Percentile(90));

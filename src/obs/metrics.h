@@ -45,22 +45,6 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// Point-in-time copy of a Distribution, with the percentile math of
-/// common/Histogram (same bucket limits, same interpolation) so the two
-/// agree on identical data.
-struct DistributionSnapshot {
-  uint64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  std::vector<uint64_t> buckets;  // Histogram::kNumBuckets entries
-
-  double Mean() const {
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
-  double Percentile(double p) const;
-};
-
 /// Lock-free latency/size histogram: the atomic sibling of common/Histogram
 /// (identical log-bucket scheme; Record() is a handful of relaxed atomic
 /// operations, safe from any thread). Values are conventionally nanoseconds
@@ -68,7 +52,9 @@ struct DistributionSnapshot {
 class Distribution {
  public:
   void Record(double value);
-  DistributionSnapshot Snapshot() const;
+  /// Point-in-time copy as a plain Histogram (same buckets, so the same
+  /// percentile math).
+  Histogram Snapshot() const;
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
  private:
@@ -90,7 +76,7 @@ struct MetricValue {
   Kind kind = Kind::kCounter;
   uint64_t counter = 0;
   int64_t gauge = 0;
-  DistributionSnapshot distribution;
+  Histogram distribution;
 };
 
 /// Consistent point-in-time view of every registered instrument. "Consistent"

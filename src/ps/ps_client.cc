@@ -1,9 +1,8 @@
 #include "ps/ps_client.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
+#include <string>
 
 #include "net/message.h"
 #include "ps/placement.h"
@@ -41,12 +40,69 @@ Status FirstHardError(const std::vector<RpcCall>& calls) {
   return Status::OK();
 }
 
+/// Writes the key span of a keyed request: the count, then keys[i] for
+/// every i in `pos`.
+void PutKeys(Writer* writer, const storage::EntryId* keys,
+             const std::vector<size_t>& pos) {
+  writer->PutU32(static_cast<uint32_t>(pos.size()));
+  for (size_t i : pos) writer->PutRaw(&keys[i], sizeof(keys[i]));
+}
+
+/// Reads a float span holding one row of `dim` weights per position and
+/// copies row j to row pos[j] of `out` (shape check only when `out` is
+/// null).
+Status GetRows(Reader* reader, const std::vector<size_t>& pos, uint32_t dim,
+               float* out) {
+  std::vector<float> weights;
+  OE_RETURN_IF_ERROR(reader->GetFloatSpan(&weights));
+  if (weights.size() != pos.size() * dim) {
+    return Status::Corruption("response rows do not match the request keys");
+  }
+  if (out == nullptr) return Status::OK();
+  for (size_t j = 0; j < pos.size(); ++j) {
+    std::memcpy(out + pos[j] * dim, weights.data() + j * dim,
+                dim * sizeof(float));
+  }
+  return Status::OK();
+}
+
+/// True when `key` is a hot key replicated across several nodes.
+bool IsPlaced(const PlacementTable* placement, storage::EntryId key) {
+  return placement != nullptr && placement->replicas() > 1 &&
+         placement->is_hot(key);
+}
+
+/// The node that serves `key` by ownership: a hot key's primary replica
+/// (epoch-pinned, so it never migrates), else its slot owner.
+net::NodeId PrimaryNode(const PlacementTable* placement, const Router& router,
+                        storage::EntryId key) {
+  return IsPlaced(placement, key) ? placement->ReplicaNode(key, 0)
+                                  : router.NodeFor(key);
+}
+
+using Positions = std::vector<std::vector<size_t>>;
+
+/// One round of a routed fan-out: the route snapshot it was partitioned
+/// under, the key positions and buffers of each node, and one call per node
+/// that serves any key, in ascending node order.
+struct Round {
+  Router router;
+  Positions positions;  // these three are indexed by node
+  std::vector<Buffer> requests;
+  std::vector<Buffer> responses;
+  std::vector<RpcCall> calls;
+};
+
 /// Route retry budget for keyed operations. A kWrongOwner burst lasts from
 /// seal to publish; with the default RpcOptions backoff (1ms doubling,
 /// 100ms cap) this budget spans well over a second of wall time — enough
 /// for any in-process migration while still failing closed if routing
 /// never converges.
 constexpr int kMaxRouteAttempts = 16;
+
+/// MultiGet's budget, shared by route retries and checkpoint disagreement
+/// (a cluster-wide publish in flight).
+constexpr int kMaxMultiGetAttempts = 8;
 
 }  // namespace
 
@@ -69,100 +125,88 @@ void PsClient::RefreshRoute() {
   if (current->epoch > router_.epoch()) router_ = Router(std::move(current));
 }
 
-std::shared_ptr<const SlotTable> PsClient::BroadcastTable() const {
-  if (directory_ != nullptr) return directory_->Current();
-  std::lock_guard<std::mutex> lock(route_mutex_);
-  return router_.table();
-}
-
-void PsClient::BackoffBeforeRetry(int attempt) const {
-  const net::RpcOptions& opts = transport_->rpc_options();
-  int64_t backoff_ms = std::max<int64_t>(1, opts.backoff_initial_ms);
-  for (int i = 0; i < attempt; ++i) {
-    backoff_ms = std::min<int64_t>(
-        static_cast<int64_t>(backoff_ms * opts.backoff_multiplier),
-        std::max<int64_t>(1, opts.backoff_max_ms));
+template <typename RouteFn, typename EncodeFn, typename AcceptFn>
+Status PsClient::RoutedFanOut(const char* op, PsMethod method,
+                              int max_attempts, RouteFn route,
+                              EncodeFn encode, AcceptFn accept) {
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    if (attempt > 0) {
+      net::BackoffSleep(transport_->rpc_options(), attempt - 1);
+      RefreshRoute();
+    }
+    Round round{Route()};
+    const uint32_t num_nodes = round.router.num_nodes();
+    round.positions.resize(num_nodes);
+    round.requests.resize(num_nodes);
+    round.responses.resize(num_nodes);
+    round.calls.reserve(num_nodes);
+    route(round.router, &round.positions);
+    // One request per node, issued concurrently (Section IV: the worker
+    // reaches every PS shard in one overlapped round trip). A mutating
+    // round's requests share one fresh seq (see NextSeq), and a
+    // transport-retried request reuses its buffer, so a double-delivered
+    // gradient applies exactly once.
+    const uint64_t seq = IsMutatingMethod(method) ? NextSeq() : 0;
+    for (uint32_t node = 0; node < num_nodes; ++node) {
+      if (round.positions[node].empty()) continue;
+      Writer writer(&round.requests[node]);
+      PutHeader(&writer, client_id_, seq, round.router.epoch());
+      encode(&writer, round.positions[node]);
+      round.calls.push_back({node, static_cast<uint32_t>(method),
+                             &round.requests[node], &round.responses[node]});
+    }
+    if (round.calls.empty()) return Status::OK();
+    const Status fan_out = transport_->ParallelCall(&round.calls);
+    if (!fan_out.ok()) OE_RETURN_IF_ERROR(FirstHardError(round.calls));
+    OE_ASSIGN_OR_RETURN(const bool done, accept(round, fan_out));
+    if (done) return Status::OK();
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+  return Status::Unavailable(
+      std::string(op) + ": no consistent answer after " +
+      std::to_string(max_attempts) +
+      " attempts (kWrongOwner or checkpoint disagreement persisted)");
 }
 
 Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
                       float* out) {
   if (n == 0) return Status::OK();
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
-  for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-      RefreshRoute();
-    }
-    const Router router = Route();
-    // Partition key positions by owning node; hot keys round-robin across
-    // their replica set (replicas are kept bit-identical; the set is
-    // epoch-pinned, so migrations never invalidate it).
-    std::vector<std::vector<size_t>> positions(router.num_nodes());
-    for (size_t i = 0; i < n; ++i) {
-      if (placed && placement_->is_hot(keys[i])) {
-        const auto r = static_cast<uint32_t>(
-            pull_rr_.fetch_add(1, std::memory_order_relaxed) %
-            placement_->replicas());
-        positions[placement_->ReplicaNode(keys[i], r)].push_back(i);
-      } else {
-        positions[router.NodeFor(keys[i])].push_back(i);
-      }
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!positions[node].empty()) nodes.push_back(node);
-    }
-    if (nodes.empty()) return Status::OK();
-
-    // One request per owning node, issued concurrently (Section IV: the
-    // worker reaches every PS shard in one overlapped round trip).
-    std::vector<Buffer> requests(nodes.size());
-    std::vector<Buffer> responses(nodes.size());
-    std::vector<RpcCall> calls(nodes.size());
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
-      Writer writer(&requests[c]);
-      PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read
-      writer.PutU64(batch);
-      writer.PutU32(static_cast<uint32_t>(pos.size()));
-      for (size_t i : pos) writer.PutRaw(&keys[i], sizeof(keys[i]));
-      calls[c] = {nodes[c], static_cast<uint32_t>(PsMethod::kPull),
-                  &requests[c], &responses[c], Status::OK()};
-    }
-    Status fan_out = transport_->ParallelCall(&calls);
-    if (!fan_out.ok()) {
-      OE_RETURN_IF_ERROR(FirstHardError(calls));
-      continue;  // every failure was kWrongOwner: refresh and re-route
-    }
-
-    // Reassemble in key order. Pulls are idempotent, so a retried round
-    // simply overwrites any positions already filled.
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
-      Reader reader(responses[c]);
-      std::vector<float> weights;
-      OE_RETURN_IF_ERROR(reader.GetFloatSpan(&weights));
-      if (weights.size() != pos.size() * dim_) {
-        return Status::Corruption("pull response size mismatch");
-      }
-      for (size_t j = 0; j < pos.size(); ++j) {
-        std::memcpy(out + pos[j] * dim_, weights.data() + j * dim_,
-                    dim_ * sizeof(float));
-      }
-    }
-    return Status::OK();
-  }
-  return Status::Unavailable("pull: routing did not converge (kWrongOwner "
-                             "persisted past the retry budget)");
+  return RoutedFanOut(
+      "pull", PsMethod::kPull, kMaxRouteAttempts,
+      // Hot keys round-robin across their replica set (replicas are kept
+      // bit-identical; the set is epoch-pinned, so migrations never
+      // invalidate it).
+      [&](const Router& router, Positions* positions) {
+        for (size_t i = 0; i < n; ++i) {
+          if (IsPlaced(placement_, keys[i])) {
+            const auto r = static_cast<uint32_t>(
+                pull_rr_.fetch_add(1, std::memory_order_relaxed) %
+                placement_->replicas());
+            (*positions)[placement_->ReplicaNode(keys[i], r)].push_back(i);
+          } else {
+            (*positions)[router.NodeFor(keys[i])].push_back(i);
+          }
+        }
+      },
+      [&](Writer* writer, const std::vector<size_t>& pos) {
+        writer->PutU64(batch);
+        PutKeys(writer, keys, pos);
+      },
+      // Pulls are idempotent, so a retried round simply overwrites any
+      // positions already filled.
+      [&](const Round& round, const Status& fan_out) -> Result<bool> {
+        if (!fan_out.ok()) return false;  // kWrongOwner only: re-route
+        for (const RpcCall& call : round.calls) {
+          Reader reader(*call.response);
+          OE_RETURN_IF_ERROR(
+              GetRows(&reader, round.positions[call.node], dim_, out));
+        }
+        return true;
+      });
 }
 
 Status PsClient::Push(const storage::EntryId* keys, size_t n,
                       const float* grads, uint64_t batch) {
   if (n == 0) return Status::OK();
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
-
   // Unacknowledged work, tracked per (position, destination) so a partial
   // fan-out failure re-sends exactly the rejected nodes' keys. A hot key's
   // gradient goes to every replica (fixed, epoch-pinned destinations); a
@@ -171,7 +215,7 @@ Status PsClient::Push(const storage::EntryId* keys, size_t n,
   std::vector<std::pair<size_t, uint32_t>> pending_hot;  // (pos, node)
   std::vector<size_t> pending;                           // routed each round
   for (size_t i = 0; i < n; ++i) {
-    if (placed && placement_->is_hot(keys[i])) {
+    if (IsPlaced(placement_, keys[i])) {
       for (uint32_t r = 0; r < placement_->replicas(); ++r) {
         pending_hot.emplace_back(i, placement_->ReplicaNode(keys[i], r));
       }
@@ -179,291 +223,173 @@ Status PsClient::Push(const storage::EntryId* keys, size_t n,
       pending.push_back(i);
     }
   }
-
-  for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-      RefreshRoute();
-    }
-    const Router router = Route();
-    std::vector<std::vector<size_t>> positions(router.num_nodes());
-    for (const auto& [pos, node] : pending_hot) positions[node].push_back(pos);
-    for (size_t pos : pending) {
-      positions[router.NodeFor(keys[pos])].push_back(pos);
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!positions[node].empty()) nodes.push_back(node);
-    }
-    if (nodes.empty()) return Status::OK();
-
-    std::vector<Buffer> requests(nodes.size());
-    std::vector<Buffer> responses(nodes.size());
-    std::vector<RpcCall> calls(nodes.size());
-    // One seq for the whole round: each node dedups independently, and a
-    // transport-retried per-node request reuses its buffer (same header),
-    // so a double-delivered gradient applies exactly once. A *re-route*
-    // round uses a fresh seq — safe, because a kWrongOwner rejection is
-    // wholesale (the rejecting node applied nothing under the old seq),
-    // and necessary, because the new owner may have cached a reply for the
-    // old seq covering different keys and would replay it without applying
-    // the re-routed ones.
-    const uint64_t seq = NextSeq();
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
-      Writer writer(&requests[c]);
-      PutHeader(&writer, client_id_, seq, router.epoch());
-      writer.PutU64(batch);
-      writer.PutU32(static_cast<uint32_t>(pos.size()));
-      for (size_t i : pos) writer.PutRaw(&keys[i], sizeof(keys[i]));
-      writer.PutU32(static_cast<uint32_t>(pos.size() * dim_));
-      for (size_t i : pos) {
-        writer.PutRaw(grads + i * dim_, dim_ * sizeof(float));
-      }
-      calls[c] = {nodes[c], static_cast<uint32_t>(PsMethod::kPush),
-                  &requests[c], &responses[c], Status::OK()};
-    }
-    Status fan_out = transport_->ParallelCall(&calls);
-    if (fan_out.ok()) return Status::OK();
-    OE_RETURN_IF_ERROR(FirstHardError(calls));
-
-    // Drop acknowledged destinations from the pending sets; only nodes
-    // that rejected with kWrongOwner (applied nothing) are re-routed.
-    std::vector<uint32_t> rejected;
-    for (const RpcCall& call : calls) {
-      if (call.status.IsWrongOwner()) rejected.push_back(call.node);
-    }
-    auto was_rejected = [&rejected](uint32_t node) {
-      return std::find(rejected.begin(), rejected.end(), node) !=
-             rejected.end();
-    };
-    pending_hot.erase(
-        std::remove_if(pending_hot.begin(), pending_hot.end(),
-                       [&](const std::pair<size_t, uint32_t>& item) {
-                         return !was_rejected(item.second);
-                       }),
-        pending_hot.end());
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&](size_t pos) {
-                                   return !was_rejected(
-                                       router.NodeFor(keys[pos]));
-                                 }),
-                  pending.end());
-    if (pending_hot.empty() && pending.empty()) return Status::OK();
-  }
-  return Status::Unavailable("push: routing did not converge (kWrongOwner "
-                             "persisted past the retry budget)");
+  return RoutedFanOut(
+      "push", PsMethod::kPush, kMaxRouteAttempts,
+      [&](const Router& router, Positions* positions) {
+        for (const auto& [pos, node] : pending_hot) {
+          (*positions)[node].push_back(pos);
+        }
+        for (size_t pos : pending) {
+          (*positions)[router.NodeFor(keys[pos])].push_back(pos);
+        }
+      },
+      [&](Writer* writer, const std::vector<size_t>& pos) {
+        writer->PutU64(batch);
+        PutKeys(writer, keys, pos);
+        writer->PutU32(static_cast<uint32_t>(pos.size() * dim_));
+        for (size_t i : pos) {
+          writer->PutRaw(grads + i * dim_, dim_ * sizeof(float));
+        }
+      },
+      // Drop acknowledged destinations from the pending sets; only nodes
+      // that rejected with kWrongOwner (applied nothing) are re-routed.
+      [&](const Round& round, const Status& fan_out) -> Result<bool> {
+        if (fan_out.ok()) return true;
+        std::vector<bool> rejected(round.router.num_nodes(), false);
+        for (const RpcCall& call : round.calls) {
+          rejected[call.node] = call.status.IsWrongOwner();
+        }
+        std::erase_if(pending_hot, [&](const auto& item) {
+          return !rejected[item.second];
+        });
+        std::erase_if(pending, [&](size_t pos) {
+          return !rejected[round.router.NodeFor(keys[pos])];
+        });
+        return pending_hot.empty() && pending.empty();
+      });
 }
 
 Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
                           uint8_t* found, uint64_t* snapshot_version) {
   if (snapshot_version != nullptr) *snapshot_version = 0;
   if (n == 0) return Status::OK();
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
-
-  // Each node serves its own last published checkpoint; a response set is a
-  // cluster-consistent snapshot only when they all name the same version.
-  // Disagreement means a cluster-wide publish was mid-flight, kWrongOwner
-  // means a migration republished routing — both short-lived, so a bounded
-  // retry of the whole fan-out resolves them. Attempts back off with the
-  // transport's RpcOptions policy so a publish-in-flight window doesn't
-  // burn the entire budget in microseconds.
-  constexpr int kMaxAttempts = 8;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-      RefreshRoute();
-    }
-    const Router router = Route();
-    // Ownership routing only: replica nodes publish checkpoints on their
-    // own maintenance cadence, so round-robining hot keys across them
-    // would make the per-node version agreement below spuriously fail.
-    // Hot keys pin to their primary replica (their slot may have migrated,
-    // but the keys themselves are epoch-pinned to the replica set).
-    std::vector<std::vector<size_t>> positions(router.num_nodes());
-    for (size_t i = 0; i < n; ++i) {
-      if (placed && placement_->is_hot(keys[i])) {
-        positions[placement_->ReplicaNode(keys[i], 0)].push_back(i);
-      } else {
-        positions[router.NodeFor(keys[i])].push_back(i);
-      }
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!positions[node].empty()) nodes.push_back(node);
-    }
-
-    std::vector<Buffer> requests(nodes.size());
-    std::vector<Buffer> responses(nodes.size());
-    std::vector<RpcCall> calls(nodes.size());
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
-      Writer writer(&requests[c]);
-      PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read
-      writer.PutU32(static_cast<uint32_t>(pos.size()));
-      for (size_t i : pos) writer.PutRaw(&keys[i], sizeof(keys[i]));
-      calls[c] = {nodes[c], static_cast<uint32_t>(PsMethod::kMultiGet),
-                  &requests[c], &responses[c], Status::OK()};
-    }
-    Status fan_out = transport_->ParallelCall(&calls);
-    if (!fan_out.ok()) {
-      OE_RETURN_IF_ERROR(FirstHardError(calls));
-      continue;  // kWrongOwner only: refresh and re-route
-    }
-
-    bool agree = true;
-    uint64_t cluster_cp = 0;
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& pos = positions[nodes[c]];
-      Reader reader(responses[c]);
-      uint64_t node_cp = 0;
-      OE_RETURN_IF_ERROR(reader.GetU64(&node_cp));
-      if (c == 0) {
-        cluster_cp = node_cp;
-      } else if (node_cp != cluster_cp) {
-        agree = false;
-        break;
-      }
-      std::vector<uint8_t> node_found(pos.size());
-      OE_RETURN_IF_ERROR(reader.GetRaw(node_found.data(), node_found.size()));
-      std::vector<float> weights;
-      OE_RETURN_IF_ERROR(reader.GetFloatSpan(&weights));
-      if (weights.size() != pos.size() * dim_) {
-        return Status::Corruption("multi-get response size mismatch");
-      }
-      for (size_t j = 0; j < pos.size(); ++j) {
-        found[pos[j]] = node_found[j];
-        std::memcpy(out + pos[j] * dim_, weights.data() + j * dim_,
-                    dim_ * sizeof(float));
-      }
-    }
-    if (agree) {
-      if (snapshot_version != nullptr) *snapshot_version = cluster_cp;
-      return Status::OK();
-    }
-  }
-  return Status::Unavailable(
-      "PS nodes did not converge on a published checkpoint");
+  return RoutedFanOut(
+      "multi-get", PsMethod::kMultiGet, kMaxMultiGetAttempts,
+      // Ownership routing only: replica nodes publish checkpoints on their
+      // own maintenance cadence, so round-robining hot keys across them
+      // would make the version agreement spuriously fail.
+      [&](const Router& router, Positions* positions) {
+        for (size_t i = 0; i < n; ++i) {
+          (*positions)[PrimaryNode(placement_, router, keys[i])].push_back(i);
+        }
+      },
+      [&](Writer* writer, const std::vector<size_t>& pos) {
+        PutKeys(writer, keys, pos);
+      },
+      [&](const Round& round, const Status& fan_out) -> Result<bool> {
+        if (!fan_out.ok()) return false;  // kWrongOwner only: re-route
+        uint64_t cluster_cp = 0;
+        for (const RpcCall& call : round.calls) {
+          const std::vector<size_t>& pos = round.positions[call.node];
+          Reader reader(*call.response);
+          uint64_t node_cp = 0;
+          OE_RETURN_IF_ERROR(reader.GetU64(&node_cp));
+          if (&call == &round.calls.front()) cluster_cp = node_cp;
+          if (node_cp != cluster_cp) return false;
+          std::vector<uint8_t> node_found(pos.size());
+          OE_RETURN_IF_ERROR(
+              reader.GetRaw(node_found.data(), node_found.size()));
+          OE_RETURN_IF_ERROR(GetRows(&reader, pos, dim_, out));
+          for (size_t j = 0; j < pos.size(); ++j) found[pos[j]] = node_found[j];
+        }
+        if (snapshot_version != nullptr) *snapshot_version = cluster_cp;
+        return true;
+      });
 }
 
 Status PsClient::WarmReplicas(uint64_t batch) {
   if (placement_ == nullptr || placement_->replicas() <= 1) {
     return Status::OK();
   }
-  const auto& hot = placement_->hot_keys();
-  if (hot.empty()) return Status::OK();
-  const Router router = Route();
-  // One pull round per replica rank: every replica node materializes its
-  // copy via the normal first-touch path. Responses are validated for shape
-  // and discarded — warming is purely about creating the entries.
+  const std::vector<storage::EntryId>& hot = placement_->hot_keys();
+  // One pull round per replica rank. Responses are validated for shape and
+  // discarded; hot keys never see kWrongOwner at a replica, so one attempt
+  // suffices.
   for (uint32_t r = 0; r < placement_->replicas(); ++r) {
-    std::vector<std::vector<storage::EntryId>> by_node(router.num_nodes());
-    for (const storage::EntryId key : hot) {
-      by_node[placement_->ReplicaNode(key, r)].push_back(key);
-    }
-    std::vector<uint32_t> nodes;
-    for (uint32_t node = 0; node < router.num_nodes(); ++node) {
-      if (!by_node[node].empty()) nodes.push_back(node);
-    }
-    if (nodes.empty()) continue;
-    std::vector<Buffer> requests(nodes.size());
-    std::vector<Buffer> responses(nodes.size());
-    std::vector<RpcCall> calls(nodes.size());
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      const auto& node_keys = by_node[nodes[c]];
-      Writer writer(&requests[c]);
-      PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read
-      writer.PutU64(batch);
-      writer.PutU32(static_cast<uint32_t>(node_keys.size()));
-      for (const storage::EntryId key : node_keys) {
-        writer.PutRaw(&key, sizeof(key));
-      }
-      calls[c] = {nodes[c], static_cast<uint32_t>(PsMethod::kPull),
-                  &requests[c], &responses[c], Status::OK()};
-    }
-    OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
-    for (size_t c = 0; c < nodes.size(); ++c) {
-      std::vector<float> weights;
-      OE_RETURN_IF_ERROR(Reader(responses[c]).GetFloatSpan(&weights));
-      if (weights.size() != by_node[nodes[c]].size() * dim_) {
-        return Status::Corruption("warm-replica response size mismatch");
-      }
-    }
+    OE_RETURN_IF_ERROR(RoutedFanOut(
+        "warm-replica", PsMethod::kPull, /*max_attempts=*/1,
+        [&](const Router&, Positions* positions) {
+          for (size_t i = 0; i < hot.size(); ++i) {
+            (*positions)[placement_->ReplicaNode(hot[i], r)].push_back(i);
+          }
+        },
+        [&](Writer* writer, const std::vector<size_t>& pos) {
+          writer->PutU64(batch);
+          PutKeys(writer, hot.data(), pos);
+        },
+        [&](const Round& round, const Status& fan_out) -> Result<bool> {
+          OE_RETURN_IF_ERROR(fan_out);
+          for (const RpcCall& call : round.calls) {
+            Reader reader(*call.response);
+            OE_RETURN_IF_ERROR(
+                GetRows(&reader, round.positions[call.node], dim_, nullptr));
+          }
+          return true;
+        }));
   }
   return Status::OK();
 }
 
-Status PsClient::Broadcast(uint32_t method, const Buffer& request) {
-  const std::shared_ptr<const SlotTable> table = BroadcastTable();
-  const auto& active = table->active;
-  std::vector<Buffer> responses(active.size());
-  std::vector<RpcCall> calls(active.size());
-  for (size_t i = 0; i < active.size(); ++i) {
-    calls[i] = {active[i], method, &request, &responses[i], Status::OK()};
+Result<std::vector<float>> PsClient::Peek(storage::EntryId key) {
+  std::vector<float> weights;
+  OE_RETURN_IF_ERROR(RoutedFanOut(
+      "peek", PsMethod::kPeek, kMaxRouteAttempts,
+      [&](const Router& router, Positions* positions) {
+        (*positions)[PrimaryNode(placement_, router, key)].push_back(0);
+      },
+      [&](Writer* writer, const std::vector<size_t>&) { writer->PutU64(key); },
+      [&](const Round& round, const Status& fan_out) -> Result<bool> {
+        if (!fan_out.ok()) return false;  // kWrongOwner only: re-route
+        Reader reader(*round.calls[0].response);
+        OE_RETURN_IF_ERROR(reader.GetFloatSpan(&weights));
+        return true;
+      }));
+  return weights;
+}
+
+Result<std::vector<Buffer>> PsClient::Broadcast(
+    PsMethod method, std::optional<uint64_t> batch) {
+  Buffer request;
+  Writer writer(&request);
+  PutHeader(&writer, client_id_, IsMutatingMethod(method) ? NextSeq() : 0,
+            Route().epoch());
+  if (batch.has_value()) writer.PutU64(*batch);
+  const std::shared_ptr<const SlotTable> table =
+      directory_ != nullptr ? directory_->Current() : Route().table();
+  std::vector<Buffer> responses(table->active.size());
+  std::vector<RpcCall> calls(table->active.size());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    calls[i] = {table->active[i], static_cast<uint32_t>(method), &request,
+                &responses[i], Status::OK()};
   }
-  return transport_->ParallelCall(&calls);
+  OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
+  return responses;
 }
 
 Status PsClient::FinishPullPhase(uint64_t batch) {
-  Buffer request;
-  Writer writer(&request);
-  PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
-  writer.PutU64(batch);
-  return Broadcast(static_cast<uint32_t>(PsMethod::kFinishPull), request);
+  return Broadcast(PsMethod::kFinishPull, batch).status();
 }
 
 Status PsClient::WaitMaintenance(uint64_t batch) {
-  Buffer request;
-  Writer writer(&request);
-  PutHeader(&writer, client_id_, /*seq=*/0, Route().epoch());  // pure wait
-  writer.PutU64(batch);
-  return Broadcast(static_cast<uint32_t>(PsMethod::kWaitMaintenance),
-                   request);
+  return Broadcast(PsMethod::kWaitMaintenance, batch).status();
 }
 
 Status PsClient::RequestCheckpoint(uint64_t batch) {
-  Buffer request;
-  Writer writer(&request);
-  PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
-  writer.PutU64(batch);
-  return Broadcast(static_cast<uint32_t>(PsMethod::kRequestCheckpoint),
-                   request);
+  return Broadcast(PsMethod::kRequestCheckpoint, batch).status();
 }
 
 Status PsClient::DrainCheckpoints() {
-  Buffer request;
-  Writer writer(&request);
-  PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
-  return Broadcast(static_cast<uint32_t>(PsMethod::kDrainCheckpoints),
-                   request);
+  return Broadcast(PsMethod::kDrainCheckpoints).status();
 }
 
 Status PsClient::Recover() {
-  Buffer request;
-  Writer writer(&request);
-  PutHeader(&writer, client_id_, NextSeq(), Route().epoch());
-  OE_RETURN_IF_ERROR(
-      Broadcast(static_cast<uint32_t>(PsMethod::kRecover), request));
-  // Recovery rolled every store back to its durable checkpoint; hot-key
-  // replica copies that were never flushed are gone, so re-materialize
-  // them (deterministic first-touch keeps replicas bit-identical). No-op
-  // without a placement table.
+  OE_RETURN_IF_ERROR(Broadcast(PsMethod::kRecover).status());
   return WarmReplicas(0);
 }
 
 Result<uint64_t> PsClient::TotalEntries() {
-  Buffer request;
-  Writer writer(&request);
-  PutHeader(&writer, client_id_, /*seq=*/0, Route().epoch());  // read
-  const std::shared_ptr<const SlotTable> table = BroadcastTable();
-  const auto& active = table->active;
-  std::vector<Buffer> responses(active.size());
-  std::vector<RpcCall> calls(active.size());
-  for (size_t i = 0; i < active.size(); ++i) {
-    calls[i] = {active[i], static_cast<uint32_t>(PsMethod::kEntryCount),
-                &request, &responses[i], Status::OK()};
-  }
-  OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
+  OE_ASSIGN_OR_RETURN(const std::vector<Buffer> responses,
+                      Broadcast(PsMethod::kEntryCount));
   uint64_t total = 0;
   for (const Buffer& response : responses) {
     uint64_t count = 0;
@@ -474,19 +400,8 @@ Result<uint64_t> PsClient::TotalEntries() {
 }
 
 Result<uint64_t> PsClient::ClusterCheckpoint() {
-  Buffer request;
-  Writer writer(&request);
-  PutHeader(&writer, client_id_, /*seq=*/0, Route().epoch());  // read
-  const std::shared_ptr<const SlotTable> table = BroadcastTable();
-  const auto& active = table->active;
-  std::vector<Buffer> responses(active.size());
-  std::vector<RpcCall> calls(active.size());
-  for (size_t i = 0; i < active.size(); ++i) {
-    calls[i] = {active[i],
-                static_cast<uint32_t>(PsMethod::kPublishedCheckpoint),
-                &request, &responses[i], Status::OK()};
-  }
-  OE_RETURN_IF_ERROR(transport_->ParallelCall(&calls));
+  OE_ASSIGN_OR_RETURN(const std::vector<Buffer> responses,
+                      Broadcast(PsMethod::kPublishedCheckpoint));
   uint64_t min_cp = ~0ULL;
   for (const Buffer& response : responses) {
     uint64_t cp = 0;
@@ -494,34 +409,6 @@ Result<uint64_t> PsClient::ClusterCheckpoint() {
     min_cp = std::min(min_cp, cp);
   }
   return min_cp == ~0ULL ? 0 : min_cp;
-}
-
-Result<std::vector<float>> PsClient::Peek(storage::EntryId key) {
-  const bool placed = placement_ != nullptr && placement_->replicas() > 1;
-  for (int attempt = 0; attempt < kMaxRouteAttempts; ++attempt) {
-    if (attempt > 0) {
-      BackoffBeforeRetry(attempt - 1);
-      RefreshRoute();
-    }
-    const Router router = Route();
-    const net::NodeId node = (placed && placement_->is_hot(key))
-                                 ? placement_->ReplicaNode(key, 0)
-                                 : router.NodeFor(key);
-    Buffer request;
-    Writer writer(&request);
-    PutHeader(&writer, client_id_, /*seq=*/0, router.epoch());  // read
-    writer.PutU64(key);
-    Buffer response;
-    Status status = transport_->Call(
-        node, static_cast<uint32_t>(PsMethod::kPeek), request, &response);
-    if (status.IsWrongOwner()) continue;
-    OE_RETURN_IF_ERROR(status);
-    std::vector<float> weights;
-    OE_RETURN_IF_ERROR(Reader(response).GetFloatSpan(&weights));
-    return weights;
-  }
-  return Status::Unavailable("peek: routing did not converge (kWrongOwner "
-                             "persisted past the retry budget)");
 }
 
 }  // namespace oe::ps

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "net/transport.h"
@@ -13,6 +14,7 @@
 namespace oe::ps {
 
 class PlacementTable;
+enum class PsMethod : uint32_t;
 
 /// Worker-side client: batches Pull/Push per PS node over a Transport and
 /// reassembles responses in key order. Per-node requests are issued
@@ -143,16 +145,24 @@ class PsClient {
   /// Re-reads the directory's current table into the cache if its epoch is
   /// newer. No-op without a directory.
   void RefreshRoute();
-  /// The table to use for broadcasts / cluster aggregation: the
-  /// directory's current table when available, else the cached snapshot.
-  std::shared_ptr<const SlotTable> BroadcastTable() const;
-  /// Sleeps per the transport's RpcOptions backoff policy before retry
-  /// round `attempt` (0-based; exponential from backoff_initial_ms).
-  void BackoffBeforeRetry(int attempt) const;
 
-  /// Broadcasts `payload` (header already included by the caller) to all
-  /// active nodes.
-  Status Broadcast(uint32_t method, const net::Buffer& request);
+  /// The one routed fan-out behind every keyed operation `op`, retried as
+  /// the class comment describes for at most `max_attempts` rounds. A round
+  /// lets `route(router, &positions)` partition key positions by node,
+  /// sends each node that serves any its `method` request (header, then
+  /// `encode(&writer, node_positions)`) in one ParallelCall, surfaces a
+  /// hard failure, and lets `accept(round, fan_out)` decode and say whether
+  /// `op` finished (false re-routes).
+  template <typename RouteFn, typename EncodeFn, typename AcceptFn>
+  Status RoutedFanOut(const char* op, PsMethod method, int max_attempts,
+                      RouteFn route, EncodeFn encode, AcceptFn accept);
+
+  /// Sends `method` (header, then `batch` when given; a fresh seq when
+  /// mutating) to every active node — of the directory's current table
+  /// when one is installed, else of the cached snapshot — and returns the
+  /// per-node responses in active-node order.
+  Result<std::vector<net::Buffer>> Broadcast(
+      PsMethod method, std::optional<uint64_t> batch = std::nullopt);
 
   net::Transport* transport_;
   mutable std::mutex route_mutex_;

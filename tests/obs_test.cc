@@ -258,7 +258,7 @@ TEST(MetricsRegistryTest, ConcurrentRegisterRecordSnapshot) {
   EXPECT_EQ(total, static_cast<uint64_t>(kThreads) * kOpsPerThread);
   const MetricValue* dist = snap.Find("lat_ns", {{"shard", "0"}});
   ASSERT_NE(dist, nullptr);
-  EXPECT_EQ(dist->distribution.count, 2u * kOpsPerThread);
+  EXPECT_EQ(dist->distribution.count(), 2u * kOpsPerThread);
 }
 
 TEST(MetricsRegistryTest, SnapshotJsonIsValid) {
@@ -290,8 +290,8 @@ TEST(DistributionTest, MatchesHistogramPercentiles) {
     dist->Record(v);
     histogram.Add(v);
   }
-  const DistributionSnapshot snap = dist->Snapshot();
-  EXPECT_EQ(snap.count, 20000u);
+  const Histogram snap = dist->Snapshot();
+  EXPECT_EQ(snap.count(), 20000u);
   for (const double p : {10.0, 50.0, 90.0, 99.0, 99.9}) {
     // Same bucket scheme, same interpolation: the two implementations must
     // agree to rounding error.
@@ -301,8 +301,8 @@ TEST(DistributionTest, MatchesHistogramPercentiles) {
   }
   EXPECT_NEAR(snap.Mean(), histogram.Mean(),
               1e-6 * std::max(1.0, histogram.Mean()));
-  EXPECT_DOUBLE_EQ(snap.min, histogram.min());
-  EXPECT_DOUBLE_EQ(snap.max, histogram.max());
+  EXPECT_DOUBLE_EQ(snap.min(), histogram.min());
+  EXPECT_DOUBLE_EQ(snap.max(), histogram.max());
 }
 
 TEST(DistributionTest, EmptyAndSingleValue) {
@@ -310,7 +310,7 @@ TEST(DistributionTest, EmptyAndSingleValue) {
   Distribution* dist = registry.GetDistribution("lat");
   EXPECT_EQ(dist->Snapshot().Percentile(50), 0.0);
   dist->Record(123.0);
-  const DistributionSnapshot snap = dist->Snapshot();
+  const Histogram snap = dist->Snapshot();
   // Percentiles are clamped to the observed [min, max].
   EXPECT_DOUBLE_EQ(snap.Percentile(0), 123.0);
   EXPECT_DOUBLE_EQ(snap.Percentile(50), 123.0);
@@ -327,7 +327,7 @@ TEST(DistributionTest, TailPercentileAccurateWithFewSamples) {
   Distribution* dist = registry.GetDistribution("lat");
   for (int i = 0; i < 9; ++i) dist->Record(1.0);
   dist->Record(1000.0);
-  const DistributionSnapshot snap = dist->Snapshot();
+  const Histogram snap = dist->Snapshot();
 
   const int bucket = Histogram::BucketFor(1000.0);
   const double bucket_left = Histogram::BucketLimit(bucket - 1);
@@ -345,14 +345,14 @@ TEST(DistributionTest, PercentilesMonotoneInP) {
   std::mt19937_64 rng(7);
   std::lognormal_distribution<double> lognormal(5.0, 1.5);
   for (int i = 0; i < 200; ++i) dist->Record(lognormal(rng));
-  const DistributionSnapshot snap = dist->Snapshot();
-  double previous = snap.min;
+  const Histogram snap = dist->Snapshot();
+  double previous = snap.min();
   for (const double p : {0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
     const double value = snap.Percentile(p);
     EXPECT_GE(value, previous) << "p" << p << " regressed";
     previous = value;
   }
-  EXPECT_LE(previous, snap.max);
+  EXPECT_LE(previous, snap.max());
 }
 
 // ---------------------------------------------------------------------------

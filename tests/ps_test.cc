@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include "common/random.h"
+#include "net/transport.h"
 #include "ps/placement.h"
 #include "ps/ps_cluster.h"
 
@@ -322,6 +324,135 @@ TEST(PsClusterTest, MultipleClientsShareState) {
   for (uint32_t d = 0; d < kDim; ++d) {
     EXPECT_NEAR(seen_by_b[d], w[d] - 0.5f, 1e-5);
   }
+}
+
+// Pins the exact wire traffic of every client operation: one request per
+// node that owns at least one key (every active node for a broadcast), each
+// sized by the request and response formats. A change here moves
+// perfbench's net.rpcs_per_batch and net.bytes_per_key.
+TEST(PsClientTest, WireTrafficMatchesFormat) {
+  constexpr uint32_t kNodes = 4;
+  constexpr uint64_t kSmallDim = 4;
+  ClusterOptions options = BaseOptions(StoreKind::kPipelined, kNodes);
+  options.store.dim = kSmallDim;
+  auto cluster = PsCluster::Create(options).ValueOrDie();
+  auto& client = cluster->client();
+
+  // Node n owns n + 1 of the keys, and the last node owns none.
+  std::map<uint32_t, uint64_t> per_node;
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 0; keys.size() < 6; ++key) {
+    const uint32_t node = client.router().NodeFor(key);
+    if (node + 1 < kNodes && per_node[node] < node + 1) {
+      ++per_node[node];
+      keys.push_back(key);
+    }
+  }
+
+  struct Traffic {
+    uint64_t requests = 0;
+    uint64_t sent = 0;
+    uint64_t received = 0;
+  };
+  constexpr uint64_t kHeader = 24;  // client id, seq, route epoch
+  constexpr uint64_t kRow = 4 * kSmallDim;
+  auto keyed = [&](auto sent, auto received) {
+    Traffic want;
+    for (const auto& [node, k] : per_node) {
+      ++want.requests;
+      want.sent += sent(k);
+      want.received += received(k);
+    }
+    return want;
+  };
+  auto broadcast = [&](uint64_t sent, uint64_t received) {
+    return Traffic{kNodes, kNodes * sent, kNodes * received};
+  };
+  auto expect = [&](const char* op, Traffic want, auto call) {
+    const net::NetStats::Snapshot before = cluster->net_stats().TakeSnapshot();
+    const Status status = call();
+    ASSERT_TRUE(status.ok()) << op << ": " << status.ToString();
+    const net::NetStats::Snapshot after = cluster->net_stats().TakeSnapshot();
+    EXPECT_EQ(after.requests - before.requests, want.requests) << op;
+    EXPECT_EQ(after.bytes_sent - before.bytes_sent, want.sent) << op;
+    EXPECT_EQ(after.bytes_received - before.bytes_received, want.received)
+        << op;
+  };
+
+  const size_t n = keys.size();
+  std::vector<float> weights(n * kSmallDim);
+  std::vector<float> grads(n * kSmallDim, 1.0f);
+  std::vector<uint8_t> found(n);
+  expect("pull",
+         keyed([](uint64_t k) { return kHeader + 8 + 4 + 8 * k; },
+               [](uint64_t k) { return 4 + kRow * k; }),
+         [&] { return client.Pull(keys.data(), n, 1, weights.data()); });
+  expect("finish-pull", broadcast(kHeader + 8, 0),
+         [&] { return client.FinishPullPhase(1); });
+  expect("push",
+         keyed(
+             [](uint64_t k) { return kHeader + 8 + 4 + 8 * k + 4 + kRow * k; },
+             [](uint64_t) { return uint64_t{0}; }),
+         [&] { return client.Push(keys.data(), n, grads.data(), 1); });
+  expect("wait-maintenance", broadcast(kHeader + 8, 0),
+         [&] { return client.WaitMaintenance(1); });
+  expect("request-checkpoint", broadcast(kHeader + 8, 0),
+         [&] { return client.RequestCheckpoint(1); });
+  expect("drain", broadcast(kHeader, 0),
+         [&] { return client.DrainCheckpoints(); });
+  expect("cluster-checkpoint", broadcast(kHeader, 8),
+         [&] { return client.ClusterCheckpoint().status(); });
+  expect("total-entries", broadcast(kHeader, 8),
+         [&] { return client.TotalEntries().status(); });
+  expect("multi-get",
+         keyed([](uint64_t k) { return kHeader + 4 + 8 * k; },
+               [](uint64_t k) { return 8 + k + 4 + kRow * k; }),
+         [&] {
+           uint64_t version = 0;
+           return client.MultiGet(keys.data(), n, weights.data(),
+                                   found.data(), &version);
+         });
+  expect("peek", Traffic{1, kHeader + 8, 4 + kRow},
+         [&] { return client.Peek(keys[0]).status(); });
+  cluster->SimulateCrashAll();
+  expect("recover", broadcast(kHeader, 0), [&] { return client.Recover(); });
+}
+
+// A keyed operation re-routes a kWrongOwner rejection with backoff and
+// gives up with kUnavailable after a fixed attempt budget: 16 for Pull,
+// Push and Peek, 8 for MultiGet.
+TEST(PsClientTest, RouteRetryBudget) {
+  net::InProcTransport transport;
+  net::RpcOptions rpc_options;
+  rpc_options.backoff_max_ms = 1;
+  transport.set_rpc_options(rpc_options);
+  std::atomic<int> calls{0};
+  transport.RegisterNode(
+      0, [&calls](uint32_t, const net::Buffer&, net::Buffer*) {
+        calls.fetch_add(1);
+        return Status::WrongOwner("always the wrong owner");
+      });
+  PsClient client(&transport, /*num_nodes=*/1, kDim);
+
+  const uint64_t key = 7;
+  std::vector<float> row(kDim, 1.0f);
+  uint8_t found = 0;
+  uint64_t version = 0;
+  auto attempts = [&](auto call) {
+    calls = 0;
+    const Status status = call();
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+    return calls.load();
+  };
+  EXPECT_EQ(attempts([&] { return client.Pull(&key, 1, 1, row.data()); }),
+            16);
+  EXPECT_EQ(attempts([&] { return client.Push(&key, 1, row.data(), 1); }),
+            16);
+  EXPECT_EQ(attempts([&] { return client.Peek(key).status(); }), 16);
+  EXPECT_EQ(attempts([&] {
+              return client.MultiGet(&key, 1, row.data(), &found, &version);
+            }),
+            8);
 }
 
 }  // namespace
