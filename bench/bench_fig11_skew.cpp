@@ -6,15 +6,12 @@
 // original to less-skew, while Ori-Cache degrades >20%.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "bench/bench_util.h"
 
 using oe::bench::EpochSeconds;
 using oe::sim::SimOptions;
 using oe::sim::TrainingSimulator;
-using oe::storage::CachePolicy;
 using oe::storage::StoreKind;
 using oe::workload::SkewPreset;
 
@@ -25,13 +22,12 @@ struct RunResult {
   double miss_rate;
 };
 
-RunResult RunEpoch(StoreKind kind, SkewPreset skew, CachePolicy policy) {
+RunResult RunEpoch(StoreKind kind, SkewPreset skew) {
   SimOptions options = oe::bench::ProductionSim();
   oe::bench::ApplyFastMode(&options);
   options.kind = kind;
   options.num_gpus = 16;
   options.skew = skew;
-  options.store.cache_policy = policy;
   auto report = TrainingSimulator(options).Run();
   if (!report.ok()) {
     std::fprintf(stderr, "sim failed: %s\n",
@@ -41,39 +37,10 @@ RunResult RunEpoch(StoreKind kind, SkewPreset skew, CachePolicy policy) {
   return {EpochSeconds(report.value(), 16), report.value().miss_rate};
 }
 
-/// `--policy lru|freq|both` selects the PMem-OE cache policy axis (the
-/// comparison engines always run their native LRU). Default: lru, which
-/// reproduces the paper's configuration.
-std::string TakePolicyFlag(int* argc, char** argv) {
-  std::string value = "lru";
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < *argc) {
-      value = argv[++i];
-      continue;
-    }
-    if (std::strncmp(argv[i], "--policy=", 9) == 0) {
-      value = argv[i] + 9;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  if (value != "lru" && value != "freq" && value != "both") {
-    std::fprintf(stderr, "unknown --policy '%s' (lru|freq|both)\n",
-                 value.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   oe::bench::BenchReport bench_report("bench_fig11_skew", &argc, argv);
-  const std::string policy = TakePolicyFlag(&argc, argv);
-  bench_report.AddConfig("policy", policy);
   oe::bench::PrintHeader(
       "Fig. 11 — training time & miss rate under different skews (16 GPUs)",
       "miss: 10.04/13.63/17.08%; Ori-Cache +20% from original to "
@@ -87,21 +54,13 @@ int main(int argc, char** argv) {
               {SkewPreset::kOriginal, "original", 0.1363},
               {SkewPreset::kLessSkew, "less-skew", 0.1708}};
 
-  // The PMem-OE cache policy axis; the DRAM-PS / Ori-Cache comparison
-  // engines always run their native configuration.
-  const CachePolicy oe_policy =
-      policy == "freq" ? CachePolicy::kFreqAware : CachePolicy::kLru;
-
   double ori_original = 0, oe_original = 0;
   std::printf("  %-10s | miss (paper)      | vs DRAM-PS: OE     Ori\n",
               "skew");
   for (const auto& row : rows) {
-    const auto dram =
-        RunEpoch(StoreKind::kDram, row.preset, CachePolicy::kLru);
-    const auto pmem_oe =
-        RunEpoch(StoreKind::kPipelined, row.preset, oe_policy);
-    const auto ori =
-        RunEpoch(StoreKind::kOriCache, row.preset, CachePolicy::kLru);
+    const auto dram = RunEpoch(StoreKind::kDram, row.preset);
+    const auto pmem_oe = RunEpoch(StoreKind::kPipelined, row.preset);
+    const auto ori = RunEpoch(StoreKind::kOriCache, row.preset);
     if (row.preset == SkewPreset::kOriginal) {
       ori_original = ori.epoch_seconds;
       oe_original = pmem_oe.epoch_seconds;
@@ -116,18 +75,6 @@ int main(int argc, char** argv) {
           ">+20%%), OE meas %+5.1f%% (paper <+5%%)\n",
           100.0 * (ori.epoch_seconds / ori_original - 1.0),
           100.0 * (pmem_oe.epoch_seconds / oe_original - 1.0));
-    }
-    if (policy == "both") {
-      const auto freq =
-          RunEpoch(StoreKind::kPipelined, row.preset, CachePolicy::kFreqAware);
-      std::printf("  %-10s |   OE freq-aware: miss %5.2f%% (lru %5.2f%%), "
-                  "%5.2fx vs DRAM-PS\n",
-                  "", 100.0 * freq.miss_rate, 100.0 * pmem_oe.miss_rate,
-                  freq.epoch_seconds / dram.epoch_seconds);
-      bench_report.AddMetric(std::string("miss_rate.") + row.name + ".freq",
-                             freq.miss_rate);
-      bench_report.AddMetric(std::string("miss_rate.") + row.name + ".lru",
-                             pmem_oe.miss_rate);
     }
   }
   return 0;

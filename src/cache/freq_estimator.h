@@ -9,18 +9,15 @@ namespace oe::cache {
 
 /// Compact per-key access-frequency estimator: a count-min sketch with
 /// saturating 8-bit counters and periodic halving decay, after the
-/// frequency-aware software cache of Kal et al. (arXiv 2208.05321) and the
+/// frequency-aware software cache of Fang et al. (arXiv 2208.05321) and the
 /// TinyLFU admission family.
 ///
-/// The store records one increment per key per batch (maintenance chunks are
-/// deduplicated), so an estimate approximates "batches this key was touched
-/// in within the current decay window" — exactly the signal the admission
-/// and pinning rules need. Estimates only over-count (count-min property),
-/// never under-count, so a genuinely hot key can never be mistaken for cold.
+/// Estimates only over-count (count-min property), never under-count, so a
+/// genuinely hot key can never be mistaken for cold — the signal the
+/// ServingCache's admission rule needs.
 ///
-/// Not thread-safe: the pipelined store keeps one estimator per shard and
-/// touches it only under that shard's write lock (the maintenance path),
-/// which keeps the pull fast path free of any frequency bookkeeping.
+/// Not thread-safe: the ServingCache keeps one estimator per shard and
+/// touches it only under that shard's mutex.
 class FreqEstimator {
  public:
   /// Frequencies saturate here; decay halves them back into range long

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "net/message.h"
-#include "ps/placement.h"
 #include "ps/ps_service.h"
 
 namespace oe::ps {
@@ -66,21 +65,17 @@ Status GetRows(Reader* reader, const std::vector<size_t>& pos, uint32_t dim,
   return Status::OK();
 }
 
-/// True when `key` is a hot key replicated across several nodes.
-bool IsPlaced(const PlacementTable* placement, storage::EntryId key) {
-  return placement != nullptr && placement->replicas() > 1 &&
-         placement->is_hot(key);
-}
-
-/// The node that serves `key` by ownership: a hot key's primary replica
-/// (epoch-pinned, so it never migrates), else its slot owner.
-net::NodeId PrimaryNode(const PlacementTable* placement, const Router& router,
-                        storage::EntryId key) {
-  return IsPlaced(placement, key) ? placement->ReplicaNode(key, 0)
-                                  : router.NodeFor(key);
-}
-
 using Positions = std::vector<std::vector<size_t>>;
+
+/// The route step of a keyed operation over all `n` keys: each position
+/// goes to its key's slot owner.
+auto RouteByOwner(const storage::EntryId* keys, size_t n) {
+  return [keys, n](const Router& router, Positions* positions) {
+    for (size_t i = 0; i < n; ++i) {
+      (*positions)[router.NodeFor(keys[i])].push_back(i);
+    }
+  };
+}
 
 /// One round of a routed fan-out: the route snapshot it was partitioned
 /// under, the key positions and buffers of each node, and one call per node
@@ -171,22 +166,7 @@ Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
                       float* out) {
   if (n == 0) return Status::OK();
   return RoutedFanOut(
-      "pull", PsMethod::kPull, kMaxRouteAttempts,
-      // Hot keys round-robin across their replica set (replicas are kept
-      // bit-identical; the set is epoch-pinned, so migrations never
-      // invalidate it).
-      [&](const Router& router, Positions* positions) {
-        for (size_t i = 0; i < n; ++i) {
-          if (IsPlaced(placement_, keys[i])) {
-            const auto r = static_cast<uint32_t>(
-                pull_rr_.fetch_add(1, std::memory_order_relaxed) %
-                placement_->replicas());
-            (*positions)[placement_->ReplicaNode(keys[i], r)].push_back(i);
-          } else {
-            (*positions)[router.NodeFor(keys[i])].push_back(i);
-          }
-        }
-      },
+      "pull", PsMethod::kPull, kMaxRouteAttempts, RouteByOwner(keys, n),
       [&](Writer* writer, const std::vector<size_t>& pos) {
         writer->PutU64(batch);
         PutKeys(writer, keys, pos);
@@ -207,28 +187,14 @@ Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
 Status PsClient::Push(const storage::EntryId* keys, size_t n,
                       const float* grads, uint64_t batch) {
   if (n == 0) return Status::OK();
-  // Unacknowledged work, tracked per (position, destination) so a partial
-  // fan-out failure re-sends exactly the rejected nodes' keys. A hot key's
-  // gradient goes to every replica (fixed, epoch-pinned destinations); a
-  // plain key's destination is recomputed from the route snapshot each
-  // round.
-  std::vector<std::pair<size_t, uint32_t>> pending_hot;  // (pos, node)
-  std::vector<size_t> pending;                           // routed each round
-  for (size_t i = 0; i < n; ++i) {
-    if (IsPlaced(placement_, keys[i])) {
-      for (uint32_t r = 0; r < placement_->replicas(); ++r) {
-        pending_hot.emplace_back(i, placement_->ReplicaNode(keys[i], r));
-      }
-    } else {
-      pending.push_back(i);
-    }
-  }
+  // Unacknowledged positions, so a partial fan-out failure re-sends exactly
+  // the rejected nodes' keys; each key's destination is recomputed from the
+  // route snapshot every round.
+  std::vector<size_t> pending(n);
+  for (size_t i = 0; i < n; ++i) pending[i] = i;
   return RoutedFanOut(
       "push", PsMethod::kPush, kMaxRouteAttempts,
       [&](const Router& router, Positions* positions) {
-        for (const auto& [pos, node] : pending_hot) {
-          (*positions)[node].push_back(pos);
-        }
         for (size_t pos : pending) {
           (*positions)[router.NodeFor(keys[pos])].push_back(pos);
         }
@@ -241,21 +207,18 @@ Status PsClient::Push(const storage::EntryId* keys, size_t n,
           writer->PutRaw(grads + i * dim_, dim_ * sizeof(float));
         }
       },
-      // Drop acknowledged destinations from the pending sets; only nodes
-      // that rejected with kWrongOwner (applied nothing) are re-routed.
+      // Drop acknowledged positions; only nodes that rejected with
+      // kWrongOwner (applied nothing) are re-routed.
       [&](const Round& round, const Status& fan_out) -> Result<bool> {
         if (fan_out.ok()) return true;
         std::vector<bool> rejected(round.router.num_nodes(), false);
         for (const RpcCall& call : round.calls) {
           rejected[call.node] = call.status.IsWrongOwner();
         }
-        std::erase_if(pending_hot, [&](const auto& item) {
-          return !rejected[item.second];
-        });
         std::erase_if(pending, [&](size_t pos) {
           return !rejected[round.router.NodeFor(keys[pos])];
         });
-        return pending_hot.empty() && pending.empty();
+        return pending.empty();
       });
 }
 
@@ -265,14 +228,7 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
   if (n == 0) return Status::OK();
   return RoutedFanOut(
       "multi-get", PsMethod::kMultiGet, kMaxMultiGetAttempts,
-      // Ownership routing only: replica nodes publish checkpoints on their
-      // own maintenance cadence, so round-robining hot keys across them
-      // would make the version agreement spuriously fail.
-      [&](const Router& router, Positions* positions) {
-        for (size_t i = 0; i < n; ++i) {
-          (*positions)[PrimaryNode(placement_, router, keys[i])].push_back(i);
-        }
-      },
+      RouteByOwner(keys, n),
       [&](Writer* writer, const std::vector<size_t>& pos) {
         PutKeys(writer, keys, pos);
       },
@@ -297,46 +253,10 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
       });
 }
 
-Status PsClient::WarmReplicas(uint64_t batch) {
-  if (placement_ == nullptr || placement_->replicas() <= 1) {
-    return Status::OK();
-  }
-  const std::vector<storage::EntryId>& hot = placement_->hot_keys();
-  // One pull round per replica rank. Responses are validated for shape and
-  // discarded; hot keys never see kWrongOwner at a replica, so one attempt
-  // suffices.
-  for (uint32_t r = 0; r < placement_->replicas(); ++r) {
-    OE_RETURN_IF_ERROR(RoutedFanOut(
-        "warm-replica", PsMethod::kPull, /*max_attempts=*/1,
-        [&](const Router&, Positions* positions) {
-          for (size_t i = 0; i < hot.size(); ++i) {
-            (*positions)[placement_->ReplicaNode(hot[i], r)].push_back(i);
-          }
-        },
-        [&](Writer* writer, const std::vector<size_t>& pos) {
-          writer->PutU64(batch);
-          PutKeys(writer, hot.data(), pos);
-        },
-        [&](const Round& round, const Status& fan_out) -> Result<bool> {
-          OE_RETURN_IF_ERROR(fan_out);
-          for (const RpcCall& call : round.calls) {
-            Reader reader(*call.response);
-            OE_RETURN_IF_ERROR(
-                GetRows(&reader, round.positions[call.node], dim_, nullptr));
-          }
-          return true;
-        }));
-  }
-  return Status::OK();
-}
-
 Result<std::vector<float>> PsClient::Peek(storage::EntryId key) {
   std::vector<float> weights;
   OE_RETURN_IF_ERROR(RoutedFanOut(
-      "peek", PsMethod::kPeek, kMaxRouteAttempts,
-      [&](const Router& router, Positions* positions) {
-        (*positions)[PrimaryNode(placement_, router, key)].push_back(0);
-      },
+      "peek", PsMethod::kPeek, kMaxRouteAttempts, RouteByOwner(&key, 1),
       [&](Writer* writer, const std::vector<size_t>&) { writer->PutU64(key); },
       [&](const Round& round, const Status& fan_out) -> Result<bool> {
         if (!fan_out.ok()) return false;  // kWrongOwner only: re-route
@@ -383,8 +303,7 @@ Status PsClient::DrainCheckpoints() {
 }
 
 Status PsClient::Recover() {
-  OE_RETURN_IF_ERROR(Broadcast(PsMethod::kRecover).status());
-  return WarmReplicas(0);
+  return Broadcast(PsMethod::kRecover).status();
 }
 
 Result<uint64_t> PsClient::TotalEntries() {

@@ -13,7 +13,6 @@
 
 namespace oe::ps {
 
-class PlacementTable;
 enum class PsMethod : uint32_t;
 
 /// Worker-side client: batches Pull/Push per PS node over a Transport and
@@ -35,10 +34,9 @@ enum class PsMethod : uint32_t;
 /// RoutingDirectory (when one is installed via set_directory) and re-routes
 /// only the unacknowledged per-node requests under a fresh sequence number
 /// — the rejecting node applied nothing, and nodes that acknowledged are
-/// not re-sent, so pushes stay exactly-once across the redirect (including
-/// the hot-key replica fan-out). Between retries the client backs off with
-/// the transport's RpcOptions policy, giving an in-flight publish time to
-/// land. The only mutable state is the atomic sequence counter and the
+/// not re-sent, so pushes stay exactly-once across the redirect. Between
+/// retries the client backs off with the transport's RpcOptions policy,
+/// giving an in-flight publish time to land. The only mutable state is the atomic sequence counter and the
 /// mutex-guarded route snapshot, so distinct threads may share one
 /// instance; SyncTrainer still gives each worker its own client to mirror
 /// the deployment.
@@ -47,18 +45,6 @@ class PsClient {
   /// `transport` must outlive the client; nodes [0, num_nodes) must be
   /// reachable through it.
   PsClient(net::Transport* transport, uint32_t num_nodes, uint32_t dim);
-
-  /// Installs a hot-key placement table (may be null to disable). With one
-  /// installed, pulls of a hot key round-robin across its replicas and
-  /// pushes of it fan to all replicas under one sequence number (each node
-  /// dedups independently — exactly-once per replica). The table must
-  /// outlive the client; all clients of a cluster share one table so they
-  /// agree on the replica sets. Hot keys are epoch-pinned: they never
-  /// migrate, so their replica set stays valid across routing epochs.
-  void set_placement(const PlacementTable* placement) {
-    placement_ = placement;
-  }
-  const PlacementTable* placement() const { return placement_; }
 
   /// Installs the routing directory to refresh the cached slot table from
   /// after a kWrongOwner rejection (may be null: the client then keeps its
@@ -70,13 +56,6 @@ class PsClient {
   void set_directory(const RoutingDirectory* directory) {
     directory_ = directory;
   }
-
-  /// Pulls every hot key once from *each* of its replica nodes so all of
-  /// them materialize the entry (first-touch initialization is
-  /// deterministic per key, so replicas start bit-identical). Must run
-  /// before the first Push of a hot key: pushes to a node that never saw
-  /// the key fail with NotFound. No-op without a placement table.
-  Status WarmReplicas(uint64_t batch);
 
   /// Reads weights for `n` keys into `out` (n * dim floats, key order).
   Status Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
@@ -94,10 +73,7 @@ class PsClient {
   /// cluster-wide publish is mid-flight) or a node rejects with kWrongOwner
   /// (a migration republished routing) the fan-out refreshes its route and
   /// retries with RpcOptions backoff between attempts, and after bounded
-  /// attempts returns Unavailable rather than torn data. Routes by key
-  /// ownership only — replicas may lag on checkpoint publication, so
-  /// serving reads pin hot keys to their primary replica instead of the
-  /// round-robin that Pull uses.
+  /// attempts returns Unavailable rather than torn data.
   Status MultiGet(const storage::EntryId* keys, size_t n, float* out,
                   uint8_t* found, uint64_t* snapshot_version);
 
@@ -106,11 +82,6 @@ class PsClient {
   Status WaitMaintenance(uint64_t batch);
   Status RequestCheckpoint(uint64_t batch);
   Status DrainCheckpoints();
-  /// Broadcasts recovery to all active nodes, then re-warms hot-key
-  /// replicas (no-op without a placement table): recovery rolls every
-  /// store back to its durable checkpoint, which evicts never-flushed
-  /// replica copies; re-warming re-materializes them through the same
-  /// deterministic first-touch path so replicas stay bit-identical.
   Status Recover();
 
   /// Sum of entry counts across active nodes.
@@ -170,10 +141,7 @@ class PsClient {
   uint32_t dim_;
   uint64_t client_id_;
   std::atomic<uint64_t> next_seq_{1};
-  const PlacementTable* placement_ = nullptr;
   const RoutingDirectory* directory_ = nullptr;
-  /// Round-robin cursor for spreading hot-key pulls over replicas.
-  std::atomic<uint64_t> pull_rr_{0};
 };
 
 }  // namespace oe::ps

@@ -98,38 +98,17 @@ Status PsCluster::Init() {
     }
   }
 
-  if (options_.hot_replicate_keys > 0 || !options_.hot_keys.empty()) {
-    std::vector<storage::EntryId> hot = options_.hot_keys;
-    if (hot.empty()) {
-      // Skewed workload ids are rank-ordered (id 0 hottest), so the top-N
-      // hot set is simply the first N ids.
-      hot.reserve(options_.hot_replicate_keys);
-      for (uint64_t k = 0; k < options_.hot_replicate_keys; ++k) {
-        hot.push_back(k);
-      }
-    }
-    placement_ = std::make_unique<PlacementTable>(
-        Router(options_.num_nodes), std::move(hot), options_.hot_replicas);
-  }
-
   // Versioned routing: the initial table routes exactly like the legacy
   // modulo router; services validate every keyed request against it.
   directory_ = std::make_unique<RoutingDirectory>(
       SlotTable::MakeRoundRobin(options_.num_nodes));
   for (uint32_t node = 0; node < num_nodes_; ++node) {
-    services_[node]->ConfigureRouting(node, directory_.get(),
-                                      placement_.get());
+    services_[node]->ConfigureRouting(node, directory_.get());
   }
 
   client_ = std::make_unique<PsClient>(rpc_transport(), options_.num_nodes,
                                        options_.store.dim);
   client_->set_directory(directory_.get());
-  if (placement_ != nullptr) {
-    client_->set_placement(placement_.get());
-    // Materialize every replica now, before any training push can target
-    // an unwarmed node.
-    OE_RETURN_IF_ERROR(client_->WarmReplicas(/*batch=*/0));
-  }
   return Status::OK();
 }
 
@@ -240,7 +219,7 @@ Status PsCluster::RestartNode(uint32_t node) {
   if (options_.serving_cache_bytes > 0) {
     service->EnableServingCache(options_.serving_cache_bytes);
   }
-  service->ConfigureRouting(node, directory_.get(), placement_.get());
+  service->ConfigureRouting(node, directory_.get());
   stores_[node] = std::move(store);
   services_[node] = std::move(service);
   transport_->RegisterNode(node, services_[node]->AsHandler());
@@ -274,8 +253,6 @@ std::unique_ptr<PsClient> PsCluster::NewClient() {
   // the published epoch on its first kWrongOwner; broadcasts always use
   // the directory directly.
   client->set_directory(directory_.get());
-  // All clients must share the table so they agree on the replica sets.
-  if (placement_ != nullptr) client->set_placement(placement_.get());
   return client;
 }
 
@@ -404,15 +381,6 @@ std::vector<bool> OwnedBitmap(const SlotTable& table, net::NodeId node) {
 
 }  // namespace
 
-std::vector<storage::EntryId> PsCluster::HotExtras(uint32_t node) const {
-  std::vector<storage::EntryId> extras;
-  if (placement_ == nullptr) return extras;
-  for (const storage::EntryId key : placement_->hot_keys()) {
-    if (placement_->is_replica(node, key)) extras.push_back(key);
-  }
-  return extras;
-}
-
 Status PsCluster::WriteRoutingRoot(uint32_t node, uint64_t epoch,
                                    const std::vector<bool>& owned) {
   auto* store =
@@ -421,7 +389,7 @@ Status PsCluster::WriteRoutingRoot(uint32_t node, uint64_t epoch,
     return Status::NotSupported(
         "live shard migration requires the pipelined store");
   }
-  return store->SetOwnedSlots(epoch, owned, HotExtras(node));
+  return store->SetOwnedSlots(epoch, owned);
 }
 
 Status PsCluster::EnsureRoutingRoot(uint32_t node) {
@@ -458,17 +426,14 @@ Status PsCluster::ReconcileOwnership(uint32_t node) {
   for (uint32_t s = 0; s < storage::kNumRoutingSlots; ++s) {
     foreign[s] = !desired[s];
   }
-  const auto extras = HotExtras(node);
-  return store->PurgeSlots(foreign, std::unordered_set<storage::EntryId>(
-                                        extras.begin(), extras.end()));
+  return store->PurgeSlots(foreign);
 }
 
 Result<uint32_t> PsCluster::AddNode() {
   const uint32_t node = num_nodes_;
   OE_RETURN_IF_ERROR(ProvisionNode(node));
   num_nodes_ = node + 1;
-  services_[node]->ConfigureRouting(node, directory_.get(),
-                                    placement_.get());
+  services_[node]->ConfigureRouting(node, directory_.get());
   if (faulty_ != nullptr) {
     faulty_->SetFaultSpec(node, options_.net_fault_spec);
   }
@@ -541,11 +506,6 @@ Status PsCluster::MigrateFromSource(uint32_t source,
   OE_RETURN_IF_ERROR(EnsureRoutingRoot(target));
 
   const std::vector<bool> bitmap = SlotBitmap(slots);
-  std::unordered_set<storage::EntryId> hot_exclude;
-  if (placement_ != nullptr) {
-    hot_exclude.insert(placement_->hot_keys().begin(),
-                       placement_->hot_keys().end());
-  }
 
   std::vector<storage::EntryId> imported;
   bool target_root_expanded = false;
@@ -560,9 +520,8 @@ Status PsCluster::MigrateFromSource(uint32_t source,
       if (t != nullptr) {
         if (!imported.empty()) OE_CHECK_OK(t->RemoveKeys(imported));
         if (target_root_expanded) {
-          OE_CHECK_OK(t->SetOwnedSlots(table->epoch,
-                                       OwnedBitmap(*table, target),
-                                       HotExtras(target)));
+          OE_CHECK_OK(
+              t->SetOwnedSlots(table->epoch, OwnedBitmap(*table, target)));
         }
       }
     }
@@ -597,8 +556,7 @@ Status PsCluster::MigrateFromSource(uint32_t source,
   auto scratch_log = ckpt::CheckpointLog::Create(
       scratch_device.value().get(), layout);
   if (!scratch_log.ok()) return abort_migration(scratch_log.status());
-  Status exported =
-      src->ExportRange(bitmap, hot_exclude, scratch_log.value().get());
+  Status exported = src->ExportRange(bitmap, scratch_log.value().get());
   if (!exported.ok()) return abort_migration(exported);
   NotifyMigrationPhase("exported");
   if (node_down_[source] || node_down_[target]) {
@@ -613,8 +571,7 @@ Status PsCluster::MigrateFromSource(uint32_t source,
   if (!import_status.ok()) return abort_migration(import_status);
   std::vector<bool> target_owned = OwnedBitmap(*table, target);
   for (const uint32_t slot : slots) target_owned[slot] = true;
-  Status root_status = dst->SetOwnedSlots(table->epoch + 1, target_owned,
-                                          HotExtras(target));
+  Status root_status = dst->SetOwnedSlots(table->epoch + 1, target_owned);
   if (!root_status.ok()) return abort_migration(root_status);
   target_root_expanded = true;
   NotifyMigrationPhase("imported");
@@ -638,12 +595,8 @@ Status PsCluster::MigrateFromSource(uint32_t source,
     if (s != nullptr && services_[source] != nullptr) {
       std::vector<bool> source_owned = OwnedBitmap(*table, source);
       for (const uint32_t slot : slots) source_owned[slot] = false;
-      OE_RETURN_IF_ERROR(s->SetOwnedSlots(table->epoch + 1, source_owned,
-                                          HotExtras(source)));
-      const auto keep = HotExtras(source);
-      OE_RETURN_IF_ERROR(s->PurgeSlots(
-          bitmap,
-          std::unordered_set<storage::EntryId>(keep.begin(), keep.end())));
+      OE_RETURN_IF_ERROR(s->SetOwnedSlots(table->epoch + 1, source_owned));
+      OE_RETURN_IF_ERROR(s->PurgeSlots(bitmap));
       services_[source]->UnsealSlots(slots);
     }
   }
@@ -660,12 +613,6 @@ Status PsCluster::DrainNode(uint32_t node) {
   auto table = directory_->Current();
   if (!table->IsActive(node)) {
     return Status::FailedPrecondition("node is not active");
-  }
-  if (!HotExtras(node).empty()) {
-    // Hot keys are epoch-pinned to their construction-time replica set;
-    // their hosts cannot leave the cluster.
-    return Status::FailedPrecondition(
-        "node hosts epoch-pinned hot-key replicas and cannot be drained");
   }
   std::vector<net::NodeId> rest;
   for (const net::NodeId n : table->active) {

@@ -33,7 +33,7 @@ struct ServingCacheStats {
 /// serving checkpoint treats the stale entry as a miss and drops it (lazy
 /// invalidation — no cross-thread flush when training publishes).
 ///
-/// Admission is TinyLFU-style via the PR 6 FreqEstimator: once a shard is
+/// Admission is TinyLFU-style via cache::FreqEstimator: once a shard is
 /// full, a new key must have a higher access-frequency estimate than the LRU
 /// victim to displace it, so one-hit wonders in the long Zipf tail cannot
 /// wash out the hot head. Internally sharded; each shard takes one

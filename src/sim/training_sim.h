@@ -68,11 +68,6 @@ struct SimOptions {
 
   // PS tier.
   uint32_t num_nodes = 2;
-  /// Statistics-driven hot-key placement (see ClusterOptions): replicate
-  /// the top `hot_replicate_keys` rank-ordered ids across `hot_replicas`
-  /// PS nodes each. 0 disables.
-  uint64_t hot_replicate_keys = 0;
-  uint32_t hot_replicas = 2;
   storage::StoreConfig store;
   uint64_t pmem_bytes_per_node = 1ULL << 30;
   uint64_t log_bytes_per_node = 512ULL << 20;

@@ -20,16 +20,6 @@ std::string_view StoreKindToString(StoreKind kind) {
   return "Unknown";
 }
 
-std::string_view CachePolicyToString(CachePolicy policy) {
-  switch (policy) {
-    case CachePolicy::kLru:
-      return "lru";
-    case CachePolicy::kFreqAware:
-      return "freq";
-  }
-  return "unknown";
-}
-
 DramStore::DramStore(const StoreConfig& config, ckpt::CheckpointLog* log)
     : config_(config),
       layout_(config.dim, config.optimizer.Slots()),

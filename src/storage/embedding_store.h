@@ -26,18 +26,6 @@ enum class StoreKind : uint8_t {
 
 std::string_view StoreKindToString(StoreKind kind);
 
-/// DRAM-cache replacement policy of the pipelined engine.
-enum class CachePolicy : uint8_t {
-  /// Plain recency: evict the LRU tail (the paper's Algorithm 2 baseline).
-  kLru = 0,
-  /// Frequency-aware (Kal et al., arXiv 2208.05321): admission and victim
-  /// selection are weighted by a per-shard count-min frequency sketch with
-  /// periodic decay, and the observed hot head is pinned in DRAM.
-  kFreqAware = 1,
-};
-
-std::string_view CachePolicyToString(CachePolicy policy);
-
 /// Configuration shared by all engines. Per-engine knobs are ignored by
 /// engines that do not have the corresponding mechanism.
 struct StoreConfig {
@@ -64,15 +52,6 @@ struct StoreConfig {
   /// single-lock layout; values < 1 are clamped to 1.
   int store_shards = 16;
 
-  /// DRAM-cache replacement policy for the pipelined engine. The sketch
-  /// width, decay period, pin cap and victim window of kFreqAware are
-  /// fixed constants of PipelinedStore (DESIGN.md §5c).
-  CachePolicy cache_policy = CachePolicy::kLru;
-  /// Under kFreqAware, pin an entry in DRAM (never evict) once its
-  /// estimated frequency reaches this many batches within the decay
-  /// window; unpin when it decays below half of it.
-  uint32_t hot_pin_min_freq = 8;
-
   /// Bucket count for the PMem-resident hash table (PMem-Hash engine).
   uint64_t pmem_hash_buckets = 1 << 14;
 };
@@ -87,9 +66,6 @@ struct StoreStats {
   std::atomic<uint64_t> flushes{0};        // entry write-backs to PMem
   std::atomic<uint64_t> new_entries{0};
   std::atomic<uint64_t> checkpoints_published{0};
-  /// Cache loads skipped because the candidate's observed frequency did not
-  /// beat the would-be victim's (kFreqAware admission filter).
-  std::atomic<uint64_t> admission_rejects{0};
 
   /// Point-in-time copy (plain integers). Readers should work on a snapshot
   /// rather than the live reference: maintainer threads mutate the live
@@ -104,7 +80,7 @@ struct StoreStats {
     uint64_t flushes = 0;
     uint64_t new_entries = 0;
     uint64_t checkpoints_published = 0;
-    uint64_t admission_rejects = 0;
+    uint64_t admission_rejects = 0;  // perfbench stub: always 0
 
     double HitRate() const {
       const uint64_t total = cache_hits + cache_misses;
@@ -124,8 +100,6 @@ struct StoreStats {
     snap.new_entries = new_entries.load(std::memory_order_relaxed);
     snap.checkpoints_published =
         checkpoints_published.load(std::memory_order_relaxed);
-    snap.admission_rejects =
-        admission_rejects.load(std::memory_order_relaxed);
     return snap;
   }
 };

@@ -12,15 +12,8 @@ using cache::TaggedPtr;
 
 namespace {
 
-// kFreqAware policy constants (DESIGN.md §5c).
-// Halve every frequency counter after this many maintenance batches per
-// shard: the periodic decay that lets stale hot keys cool off.
-constexpr uint64_t kFreqDecayBatches = 64;
-// At most this fraction of a shard's cache capacity may be pinned, so
-// eviction always has an unpinned victim available.
-constexpr double kHotPinFraction = 0.5;
-// Victim search window: the lowest-frequency entry among this many LRU-tail
-// candidates is evicted.
+// Victim search window: eviction passes over flush-failed entries among
+// this many LRU-tail candidates (DESIGN.md §5c).
 constexpr uint32_t kEvictWindow = 8;
 
 }  // namespace
@@ -44,7 +37,6 @@ PipelinedStore::PipelinedStore(const StoreConfig& config,
   push_latency_ = registry.GetDistribution("store.push_ns", labels);
   multiget_latency_ = registry.GetDistribution("store.multiget_ns", labels);
   hit_rate_gauge_ = registry.GetGauge("store.cache_hit_rate_bp", labels);
-  pinned_gauge_ = registry.GetGauge("store.cache_pinned_entries", labels);
   shard_maint_latency_.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     obs::Labels shard_labels = labels;
@@ -468,16 +460,9 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
   // checkpoint may still need its current (pre-reaccess) state.
   const uint64_t flush_gate = NewestPending();
 
-  // Frequency bookkeeping (kFreqAware): one sketch increment per key per
-  // batch — the chunk is deduplicated above, so an estimate approximates
-  // "batches this key was touched in within the decay window".
-  const bool by_freq = sh.freq != nullptr;
-  static const std::vector<CacheEntry*> kNoSkip;
-
   for (const EntryId key : keys) {
     cache::AtomicTaggedPtr* slot = sh.index.Find(key);
     if (slot == nullptr) continue;  // evaporated (should not happen)
-    const uint32_t f = by_freq ? sh.freq->Record(key) : 0;
     const TaggedPtr ptr = slot->load();
     if (ptr.is_dram()) {
       CacheEntry* entry = ptr.dram<CacheEntry>();
@@ -492,7 +477,6 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
       const bool inserted = !sh.lru.Contains(entry);
       entry->version = batch;
       sh.lru.Touch(entry);
-      if (by_freq) UpdatePinLocked(sh, entry, f);
       if (inserted) {
         // First maintenance touch of a first-touch entry: it is now
         // LRU-linked and visible to the durability test.
@@ -501,27 +485,11 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
         EvictIfNeededLocked(shard);
       }
     } else {
-      // Admission filter (kFreqAware): when loading would force an
-      // eviction, admit only if this key's observed frequency beats the
-      // would-be victim's — otherwise the cache would trade a hotter entry
-      // for a colder one.
-      if (by_freq && sh.lru.size() >= sh.capacity) {
-        CacheEntry* victim = PickVictimLocked(shard, kNoSkip);
-        if (victim != nullptr && f <= sh.freq->Estimate(victim->key)) {
-          stats_.admission_rejects.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-      }
-      CacheEntry* loaded =
-          CacheEntryLocked(shard, key, batch, ptr.pmem_offset());
-      if (by_freq) UpdatePinLocked(sh, loaded, f);
+      CacheEntryLocked(shard, key, batch, ptr.pmem_offset());
       EvictIfNeededLocked(shard);
     }
   }
-  if (by_freq && ++sh.maint_batches % kFreqDecayBatches == 0) {
-    sh.freq->Decay();
-  }
-  // Cache health gauges (DESIGN.md §9); cheap atomic reads, refreshed once
+  // Cache hit-rate gauge (DESIGN.md §9); cheap atomic reads, refreshed once
   // per chunk rather than per key.
   const uint64_t hits = stats_.cache_hits.load(std::memory_order_relaxed);
   const uint64_t misses = stats_.cache_misses.load(std::memory_order_relaxed);
@@ -557,60 +525,15 @@ Status PipelinedStore::FlushEntryLocked(Shard& sh, CacheEntry* entry) {
   return Status::OK();
 }
 
-size_t PipelinedStore::PinCapacity(const Shard& sh) const {
-  if (sh.capacity == 0) return 0;
-  const auto cap =
-      static_cast<size_t>(kHotPinFraction * static_cast<double>(sh.capacity));
-  // Always leave at least one unpinned slot so eviction can make progress.
-  return std::min(cap, sh.capacity - 1);
-}
-
-void PipelinedStore::UpdatePinLocked(Shard& sh, CacheEntry* entry,
-                                     uint32_t freq) {
-  if (entry->pinned) {
-    if (freq * 2 < config_.hot_pin_min_freq) {
-      entry->pinned = false;
-      --sh.pinned_entries;
-      pinned_gauge_->Add(-1);
-    }
-    return;
-  }
-  if (config_.hot_pin_min_freq > 0 && freq >= config_.hot_pin_min_freq &&
-      sh.pinned_entries < PinCapacity(sh)) {
-    entry->pinned = true;
-    ++sh.pinned_entries;
-    pinned_gauge_->Add(1);
-  }
-}
-
 PipelinedStore::CacheEntry* PipelinedStore::PickVictimLocked(
     size_t shard, const std::vector<CacheEntry*>& skip) {
   Shard& sh = shards_[shard];
-  const bool by_freq = sh.freq != nullptr;
-  CacheEntry* best = nullptr;
-  uint32_t best_freq = 0;
   uint32_t examined = 0;
   for (CacheEntry* e = sh.lru.Tail(); e != nullptr && examined < kEvictWindow;
        e = sh.lru.MoreRecent(e), ++examined) {
-    if (e->pinned) {
-      // Lazy unpin: a pinned entry that drifted into the victim window has
-      // not been touched in a while — if its frequency has decayed below
-      // the hot threshold it stops being protected right here.
-      const uint32_t f = by_freq ? sh.freq->Estimate(e->key) : 0;
-      if (f * 2 >= config_.hot_pin_min_freq) continue;
-      e->pinned = false;
-      --sh.pinned_entries;
-      pinned_gauge_->Add(-1);
-    }
-    if (std::find(skip.begin(), skip.end(), e) != skip.end()) continue;
-    if (!by_freq) return e;  // plain LRU: least recent eligible entry
-    const uint32_t f = sh.freq->Estimate(e->key);
-    if (best == nullptr || f < best_freq) {  // ties keep the least recent
-      best = e;
-      best_freq = f;
-    }
+    if (std::find(skip.begin(), skip.end(), e) == skip.end()) return e;
   }
-  return best;
+  return nullptr;
 }
 
 void PipelinedStore::EvictIfNeededLocked(size_t shard) {
@@ -627,8 +550,8 @@ void PipelinedStore::EvictIfNeededLocked(size_t shard) {
   while (sh.lru.size() > sh.capacity) {
     CacheEntry* victim = PickVictimLocked(shard, failed);
     if (victim == nullptr) {
-      // Every tail-window candidate is pinned or failed its flush this
-      // round: keep the excess cached rather than losing data. The next
+      // Every tail-window candidate failed its flush this round: keep the
+      // excess cached rather than losing data. The next
       // maintenance chunk retries with fresh candidates.
       return;
     }
@@ -799,10 +722,6 @@ size_t PipelinedStore::EntryCount() const {
 
 size_t PipelinedStore::CachedEntries() const {
   return SumOverShards([](const Shard& sh) { return sh.cache_entries.size(); });
-}
-
-size_t PipelinedStore::PinnedEntries() const {
-  return SumOverShards([](const Shard& sh) { return sh.pinned_entries; });
 }
 
 bool PipelinedStore::IsDramCached(EntryId key) const {

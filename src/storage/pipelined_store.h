@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cache/access_queue.h"
-#include "cache/freq_estimator.h"
 #include "cache/lru_list.h"
 #include "cache/tagged_ptr.h"
 #include "ckpt/checkpoint_log.h"
@@ -61,16 +60,6 @@ namespace oe::storage {
 /// acknowledges cp. The pass runs after the seal's last chunk is marked
 /// done, so Push never waits for it; DrainCheckpoints runs the same
 /// routine over every shard.
-///
-/// With config.cache_policy == kFreqAware the maintenance path additionally
-/// keeps a per-shard count-min frequency sketch (one increment per key per
-/// batch, periodic halving decay): a miss is only admitted to DRAM if its
-/// observed frequency beats the would-be victim's, the eviction victim is
-/// the lowest-frequency entry within the LRU-tail window, and entries whose
-/// frequency crosses the hot threshold are pinned (never evicted, bounded
-/// by a fixed fraction of the shard's capacity). Victim selection removes
-/// entries without reordering, so the LRU-order == version-order invariant
-/// the checkpoint barrier relies on is untouched.
 ///
 /// Checkpoint publication is a cross-shard barrier: a shard acknowledges a
 /// pending checkpoint once every pre-checkpoint state it caches is durable
@@ -157,46 +146,39 @@ class PipelinedStore final : public EmbeddingStore {
   struct OwnedSlots {
     bool present = false;  // false: no routing root was ever written
     uint64_t epoch = 0;
-    std::vector<bool> owned;            // size kNumRoutingSlots when present
-    std::unordered_set<EntryId> extras;  // epoch-pinned hot keys kept here
+    std::vector<bool> owned;  // size kNumRoutingSlots when present
   };
 
   /// Durably records which routing slots this store owns as of routing
-  /// `epoch`, plus `extra_keys` it must keep regardless of slot (the
-  /// epoch-pinned hot-key replicas). Two persist events: the record blob
-  /// ("route-blob", via the pool's kRouteTag protocol) and the
-  /// failure-atomic root-slot store ("route-root") — the root store is the
-  /// commit point, so a crash between them leaves the previous ownership
-  /// in force. Recovery then discards any record whose key falls outside
+  /// `epoch`. Two persist events: the record blob ("route-blob", via the
+  /// pool's kRouteTag protocol) and the failure-atomic root-slot store
+  /// ("route-root") — the root store is the commit point, so a crash
+  /// between them leaves the previous ownership in force. Recovery then discards any record whose key falls outside
   /// the committed ownership: on a migration target this is what makes the
   /// import atomic (imported records in not-yet-committed slots vanish),
   /// and on a source it garbage-collects the handed-off range even if the
   /// post-migration purge never ran.
-  Status SetOwnedSlots(uint64_t epoch, const std::vector<bool>& owned,
-                       const std::vector<EntryId>& extra_keys);
+  Status SetOwnedSlots(uint64_t epoch, const std::vector<bool>& owned);
 
   /// Reads the routing root back from the pool (recovery, tests, crash
   /// harnesses). present == false when no root was ever committed;
-  /// Corruption when the root names no committed blob or the blob's
-  /// decoded lengths disagree with its extent. Not concurrent with
-  /// SetOwnedSlots.
+  /// Corruption when the root names no committed blob, the blob's extent
+  /// has the wrong length, or its slot count is not kNumRoutingSlots. Not
+  /// concurrent with SetOwnedSlots.
   Result<OwnedSlots> ReadOwnedSlots() const;
 
   /// Copies the migration image of `slots` into `log`: for every key in a
-  /// marked slot (minus `exclude`, the epoch-pinned hot keys), the newest
-  /// record at or below the published checkpoint — the snapshot the target
+  /// marked slot, the newest record at or below the published checkpoint — the snapshot the target
   /// serves to MultiGet — plus the live head when it is newer (dirty DRAM
   /// state is serialized as a record), so the target resumes training from
   /// exactly the source's state. The caller must have sealed the range:
   /// ExportRange takes every shard write lock but nothing stops a push
   /// between export and routing publish except the seal. Requires a
   /// published checkpoint on this store or an empty range.
-  Status ExportRange(const std::vector<bool>& slots,
-                     const std::unordered_set<EntryId>& exclude,
-                     ckpt::CheckpointLog* log);
+  Status ExportRange(const std::vector<bool>& slots, ckpt::CheckpointLog* log);
 
   /// Merges a migration image into this (live) store. Keys already present
-  /// are skipped (hot-replica copies win over a stray export); for new
+  /// are skipped (an image re-delivered after a partial import); for new
   /// keys the newest record lands in the index and an older snapshot
   /// record is registered for snapshot readers. Persist site per record:
   /// "migrate-entry". On success appends every imported key to `imported`
@@ -213,11 +195,10 @@ class PipelinedStore final : public EmbeddingStore {
   Status RemoveKeys(const std::vector<EntryId>& keys);
 
   /// Post-handoff cleanup on the source: drops every key of the marked
-  /// slots except `keep` (hot keys). Records a snapshot reader could still
-  /// be pinned to are deferred, newer ones freed; index entries are erased
-  /// so the space is reclaimed while the store keeps running.
-  Status PurgeSlots(const std::vector<bool>& slots,
-                    const std::unordered_set<EntryId>& keep);
+  /// slots. Records a snapshot reader could still be pinned to are
+  /// deferred, newer ones freed; index entries are erased so the space is
+  /// reclaimed while the store keeps running.
+  Status PurgeSlots(const std::vector<bool>& slots);
   size_t EntryCount() const override;
   Result<std::vector<float>> Peek(EntryId key) const override;
 
@@ -254,10 +235,6 @@ class PipelinedStore final : public EmbeddingStore {
   /// Entries currently resident in the DRAM cache (summed over shards).
   size_t CachedEntries() const;
 
-  /// Entries currently pinned by the frequency-aware policy (summed over
-  /// shards; 0 under kLru).
-  size_t PinnedEntries() const;
-
   /// True if `key` is resident in the DRAM cache right now (tests/benches;
   /// takes the shard's read lock).
   bool IsDramCached(EntryId key) const;
@@ -290,7 +267,6 @@ class PipelinedStore final : public EmbeddingStore {
     uint64_t pmem_offset = kNullOffset;  // latest PMem record, if any
     uint64_t pmem_version = ~0ULL;       // version held by that record
     bool dirty = false;          // weights differ from the PMem record
-    bool pinned = false;         // hot-head pin: never an eviction victim
     cache::LruNode lru;
     cache::LruNode dirty_node;   // linked into Shard::dirty iff dirty
 
@@ -331,12 +307,6 @@ class PipelinedStore final : public EmbeddingStore {
     // the tail, and may carry a version the checkpoint still needs.
     size_t fresh_entries = 0;
 
-    // Frequency-aware policy state (null / zero under kLru). The sketch is
-    // touched only under the shard write lock, so the pull path stays free
-    // of frequency bookkeeping.
-    std::unique_ptr<cache::FreqEstimator> freq;
-    uint64_t maint_batches = 0;   // decay clock
-    size_t pinned_entries = 0;    // entries with pinned == true
     // Last victim whose flush failure was logged; resets on success so each
     // stuck victim is reported once, not once per eviction attempt.
     EntryId logged_victim = kNoVictim;
@@ -457,21 +427,12 @@ class PipelinedStore final : public EmbeddingStore {
   /// Requires the shard write lock, or the read lock plus the key's stripe.
   void MarkDirty(Shard& sh, CacheEntry* entry);
 
-  /// Selects this shard's eviction victim per the configured policy: the
-  /// LRU tail under kLru, else the lowest-frequency unpinned entry within
-  /// the kEvictWindow LRU-tail candidates (ties keep the least recent).
-  /// Entries in `skip` (flush-failed this round) are passed over. Returns
-  /// nullptr if everything in the window is pinned or skipped.
+  /// Selects this shard's eviction victim: the least recent entry within
+  /// the kEvictWindow LRU-tail candidates that is not in `skip`
+  /// (flush-failed this round). Returns nullptr if the window holds only
+  /// skipped entries.
   CacheEntry* PickVictimLocked(size_t shard,
                                const std::vector<CacheEntry*>& skip);
-
-  /// Max pinned entries a shard may hold (kHotPinFraction of its
-  /// capacity, always leaving at least one unpinned slot).
-  size_t PinCapacity(const Shard& sh) const;
-
-  /// Re-evaluates `entry`'s pin bit against its frequency estimate `freq`
-  /// under the kFreqAware thresholds; updates the shard pin count.
-  void UpdatePinLocked(Shard& sh, CacheEntry* entry, uint32_t freq);
 
   /// Algorithm 2's metadata-only ack (eviction, RequestCheckpoint's sweep):
   /// advances this shard's acknowledgements through every pending
@@ -524,7 +485,7 @@ class PipelinedStore final : public EmbeddingStore {
   // every shard write lock (Init: a store no other thread sees yet). ---
 
   /// Resets every volatile structure to an empty cache over the current
-  /// pool: slab attach, fresh indexes, caches and sketches, and the
+  /// pool: slab attach, fresh indexes and caches, and the
   /// checkpoint state reloaded from the root. Returns that checkpoint.
   Result<uint64_t> ResetLocked();
 
@@ -546,7 +507,7 @@ class PipelinedStore final : public EmbeddingStore {
   void RebuildIndexLocked(uint64_t cp, const OwnedSlots& route);
 
   /// Shared core of RemoveKeys / PurgeSlots: unlinks every victim from its
-  /// index slot and DRAM cache (LRU / fresh / pin bookkeeping included,
+  /// index slot and DRAM cache (LRU / fresh bookkeeping included,
   /// dirty state dropped) and hands its records to the GC, freeing what no
   /// pinned reader can reach under persist site "migrate-gc".
   void DropKeysLocked(const std::unordered_set<EntryId>& victims);
@@ -611,11 +572,9 @@ class PipelinedStore final : public EmbeddingStore {
   obs::Distribution* push_latency_;
   obs::Distribution* multiget_latency_;
   std::vector<obs::Distribution*> shard_maint_latency_;
-  // Cache health gauges, refreshed after each maintenance chunk:
-  // store.cache_hit_rate_bp (hit rate in basis points, 0..10000) and
-  // store.cache_pinned_entries (current freq-policy pin count).
+  // Cache health gauge, refreshed after each maintenance chunk:
+  // store.cache_hit_rate_bp (hit rate in basis points, 0..10000).
   obs::Gauge* hit_rate_gauge_;
-  obs::Gauge* pinned_gauge_;
 };
 
 }  // namespace oe::storage

@@ -14,12 +14,9 @@ namespace oe::storage {
 using cache::TaggedPtr;
 
 namespace {
-// Per-shard count-min sketch width of the kFreqAware policy (counters per
-// row; 4 rows of saturating 8-bit counters; DESIGN.md §5c).
-constexpr uint32_t kFreqCounters = 1 << 12;
-// Routing blob: [epoch u64][num_slots u64][bitmap][extra_count u64][extras].
+// Routing blob: [epoch u64][num_slots u64][bitmap].
 constexpr size_t kBitmapBytes = kNumRoutingSlots / 8;
-constexpr size_t kRouteFixedBytes = 8 + 8 + kBitmapBytes + 8;
+constexpr size_t kRouteBytes = 8 + 8 + kBitmapBytes;
 }  // namespace
 
 Result<std::unique_ptr<PipelinedStore>> PipelinedStore::Open(
@@ -54,8 +51,6 @@ Result<uint64_t> PipelinedStore::ResetLocked() {
   slab_options.lanes = static_cast<uint32_t>(shards_.size());
   OE_ASSIGN_OR_RETURN(slab_,
                       pmem::SlabAllocator::Attach(pool_.get(), slab_options));
-  const bool by_freq = config_.cache_enabled &&
-                       config_.cache_policy == CachePolicy::kFreqAware;
   for (auto& shard : shards_) {
     shard.index = FlatIndex{};
     // Unlink list nodes before the entries that embed them are freed.
@@ -63,18 +58,10 @@ Result<uint64_t> PipelinedStore::ResetLocked() {
     shard.dirty.Clear();
     shard.cache_entries.clear();
     shard.fresh_entries = 0;
-    shard.pinned_entries = 0;
-    shard.maint_batches = 0;
     shard.logged_victim = kNoVictim;
-    // Frequency observations describe pre-crash traffic; recovery replays
-    // from the checkpoint, so start the sketch cold like the cache.
-    shard.freq =
-        by_freq ? std::make_unique<cache::FreqEstimator>(kFreqCounters)
-                : nullptr;
     std::lock_guard<std::mutex> lock(shard.stage_mutex);
     shard.staged.clear();
   }
-  pinned_gauge_->Set(0);
   {
     // The pool is rescanned: pending write-back and frees are moot.
     std::lock_guard<std::mutex> lock(maint_mutex_);
@@ -140,8 +127,7 @@ PipelinedStore::ClassifyRecordsLocked(uint64_t cp, const OwnedSlots& route,
     device_->ChargeRead(EntryLayout::kHeaderBytes);
     const EntryId key = EntryLayout::RecordKey(record);
     const uint64_t version = EntryLayout::RecordVersion(record);
-    const bool owned = !route.present || route.owned[SlotOfKey(key)] ||
-                       route.extras.count(key) != 0;
+    const bool owned = !route.present || route.owned[SlotOfKey(key)];
     if (!owned || version > cp) {
       drop(offset);
       return;
@@ -236,13 +222,12 @@ Status PipelinedStore::ImportCheckpoint(const ckpt::CheckpointLog& log) {
 }
 
 Status PipelinedStore::SetOwnedSlots(uint64_t epoch,
-                                     const std::vector<bool>& owned,
-                                     const std::vector<EntryId>& extra_keys) {
+                                     const std::vector<bool>& owned) {
   if (owned.size() != kNumRoutingSlots) {
     return Status::InvalidArgument(
         "owned bitmap must cover every routing slot");
   }
-  std::vector<uint8_t> blob(kRouteFixedBytes + extra_keys.size() * 8);
+  std::vector<uint8_t> blob(kRouteBytes);
   uint8_t* p = blob.data();
   auto put64 = [&p](uint64_t v) {
     std::memcpy(p, &v, sizeof(v));
@@ -254,9 +239,6 @@ Status PipelinedStore::SetOwnedSlots(uint64_t epoch,
   for (uint32_t s = 0; s < kNumRoutingSlots; ++s) {
     if (owned[s]) p[s / 8] |= static_cast<uint8_t>(1u << (s % 8));
   }
-  p += kBitmapBytes;
-  put64(extra_keys.size());
-  for (const EntryId key : extra_keys) put64(key);
 
   const uint64_t old_blob = pool_->RootGet(kRootRouting);
   uint64_t offset = 0;
@@ -284,12 +266,12 @@ Result<PipelinedStore::OwnedSlots> PipelinedStore::ReadOwnedSlots() const {
   const uint64_t offset = pool_->RootGet(kRootRouting);
   if (offset == 0) return result;
   const uint64_t bytes = route_bytes_.load();
-  // Every length below comes from PMem: check it against the committed
-  // extent before reading past the fixed part.
-  if (bytes < kRouteFixedBytes) {
+  // The committed extent must hold exactly one blob before any of it is
+  // read.
+  if (bytes != kRouteBytes) {
     return Status::Corruption(bytes == 0
                                   ? "routing root names no committed blob"
-                                  : "routing blob shorter than its header");
+                                  : "routing blob has the wrong length");
   }
   const uint8_t* p = pool_->Translate(offset);
   auto get64 = [&p] {
@@ -306,21 +288,12 @@ Result<PipelinedStore::OwnedSlots> PipelinedStore::ReadOwnedSlots() const {
   for (uint32_t s = 0; s < kNumRoutingSlots; ++s) {
     if ((p[s / 8] >> (s % 8)) & 1u) result.owned[s] = true;
   }
-  p += kBitmapBytes;
-  const uint64_t extras = get64();
-  if (extras != (bytes - kRouteFixedBytes) / 8 ||
-      kRouteFixedBytes + extras * 8 != bytes) {
-    return Status::Corruption("routing blob extra-key count disagrees with "
-                              "its extent size");
-  }
-  for (uint64_t i = 0; i < extras; ++i) result.extras.insert(get64());
   device_->ChargeRead(bytes);
   result.present = true;
   return result;
 }
 
 Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
-                                   const std::unordered_set<EntryId>& exclude,
                                    ckpt::CheckpointLog* log) {
   if (log == nullptr) return Status::InvalidArgument("null migration log");
   if (slots.size() != kNumRoutingSlots) {
@@ -337,7 +310,7 @@ Status PipelinedStore::ExportRange(const std::vector<bool>& slots,
   std::vector<RecordGc::Record> flushed;
   for (auto& shard : shards_) {
     shard.index.ForEach([&](EntryId key, TaggedPtr ptr) {
-      if (!slots[SlotOfKey(key)] || exclude.count(key) != 0) return;
+      if (!slots[SlotOfKey(key)]) return;
       if (ptr.is_dram()) {
         const CacheEntry* entry = ptr.dram<CacheEntry>();
         entries.push_back(entry);
@@ -406,8 +379,8 @@ Status PipelinedStore::ImportRange(const ckpt::CheckpointLog& log,
         if (!status.ok()) return;
         if (incoming.find(key) == incoming.end() &&
             shards_[ShardOf(key)].index.Find(key) != nullptr) {
-          // The key already lives here (a hot-replica copy, or an image
-          // re-delivered after a partial import): the local copy wins.
+          // The key already lives here (an image re-delivered after a
+          // partial import): the local copy wins.
           return;
         }
         auto landed = LandRecord(key, version, data, "migrate-entry");
@@ -483,10 +456,6 @@ void PipelinedStore::DropKeysLocked(
         OE_CHECK(sh.fresh_entries > 0);
         --sh.fresh_entries;
       }
-      if (entry->pinned) {
-        --sh.pinned_entries;
-        pinned_gauge_->Add(-1);
-      }
       // Dirty DRAM state is dropped outright: the key's live head was
       // either exported to the new owner (purge) or never client-visible
       // here (abort).
@@ -514,8 +483,7 @@ Status PipelinedStore::RemoveKeys(const std::vector<EntryId>& keys) {
   return Status::OK();
 }
 
-Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
-                                  const std::unordered_set<EntryId>& keep) {
+Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots) {
   if (slots.size() != kNumRoutingSlots) {
     return Status::InvalidArgument(
         "slot bitmap must cover every routing slot");
@@ -524,7 +492,7 @@ Status PipelinedStore::PurgeSlots(const std::vector<bool>& slots,
   std::unordered_set<EntryId> victims;
   for (auto& shard : shards_) {
     shard.index.ForEach([&](EntryId key, TaggedPtr) {
-      if (slots[SlotOfKey(key)] && keep.count(key) == 0) victims.insert(key);
+      if (slots[SlotOfKey(key)]) victims.insert(key);
     });
   }
   DropKeysLocked(victims);

@@ -220,7 +220,7 @@ TEST(RemoteBackupTest, ExportMatchesRecoveryAfterRoutingShrink) {
   for (uint32_t slot = 0; slot < kNumRoutingSlots; ++slot) {
     owned[slot] = slot % 2 == 0;
   }
-  ASSERT_TRUE(store->SetOwnedSlots(1, owned, {}).ok());
+  ASSERT_TRUE(store->SetOwnedSlots(1, owned).ok());
   ASSERT_EQ(store->EntryCount(), keys.size());
   ASSERT_TRUE(store->ExportCheckpoint(remote.get()).ok());
 

@@ -326,108 +326,6 @@ TEST(PipelinedStoreConcurrencyTest, ShardedStoreStressAndMidStreamRecovery) {
   }
 }
 
-// The frequency-aware policy under full concurrency: skewed pulls, racing
-// pushes and parallel maintainers exercising the sketch, the admission
-// filter and pin/unpin bookkeeping (all under the shard write lock — TSan
-// verifies that claim). The shared hot head must end the run DRAM-resident
-// and pinned, and convergence must be bit-exact as for plain LRU.
-TEST(PipelinedStoreConcurrencyTest, FreqPolicyStressKeepsHotHeadPinned) {
-  constexpr int kThreads = 4;
-  constexpr int kBatches = 20;
-  constexpr uint64_t kUniverse = 256;
-  constexpr uint64_t kHot = 8;
-  constexpr int kCold = 24;
-
-  auto device = MakeDevice();
-  StoreConfig config = StressConfig();
-  config.cache_policy = storage::CachePolicy::kFreqAware;
-  config.store_shards = 8;
-  config.maintainer_threads = 4;
-  auto store = PipelinedStore::Create(config, device.get()).ValueOrDie();
-  const InitializerSpec init = store->config().initializer;
-
-  std::vector<std::vector<std::vector<EntryId>>> keysets(kBatches + 1);
-  std::vector<std::vector<int>> count_before(kBatches + 2,
-                                             std::vector<int>(kUniverse, 0));
-  for (int b = 1; b <= kBatches; ++b) {
-    keysets[b].resize(kThreads);
-    count_before[b + 1] = count_before[b];
-    for (int t = 0; t < kThreads; ++t) {
-      keysets[b][t] = KeysFor(t, b, kUniverse, kHot, kCold);
-      for (EntryId key : keysets[b][t]) count_before[b + 1][key]++;
-    }
-  }
-
-  Barrier barrier(kThreads);
-  std::atomic<int> pull_mismatches{0};
-  std::atomic<int> op_failures{0};
-
-  auto worker = [&](int t) {
-    std::vector<float> weights;
-    std::vector<float> grads;
-    for (int b = 1; b <= kBatches; ++b) {
-      const auto& keys = keysets[b][t];
-      weights.resize(keys.size() * kDim);
-
-      barrier.ArriveAndWait();
-      if (!store->Pull(keys.data(), keys.size(), b, weights.data()).ok()) {
-        op_failures.fetch_add(1);
-      }
-      for (size_t j = 0; j < keys.size(); ++j) {
-        const auto want =
-            ExpectedWeights(init, keys[j], count_before[b][keys[j]]);
-        if (!SameWeights(weights.data() + j * kDim, want)) {
-          pull_mismatches.fetch_add(1);
-        }
-      }
-
-      if (barrier.ArriveAndWait()) store->FinishPullPhase(b);
-      barrier.ArriveAndWait();
-
-      if (t == 0 && b % 3 == 0) {
-        if (!store->RequestCheckpoint(b).ok()) op_failures.fetch_add(1);
-      }
-      grads.assign(keys.size() * kDim, kGrad);
-      if (!store->Push(keys.data(), keys.size(), grads.data(), b).ok()) {
-        op_failures.fetch_add(1);
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(op_failures.load(), 0);
-  EXPECT_EQ(pull_mismatches.load(), 0);
-  store->WaitMaintenance(kBatches);
-
-  // Bit-exact convergence: admission rejects and pinning must never lose
-  // an update (rejected keys still apply pushes PMem-side).
-  const auto& final_count = count_before[kBatches + 1];
-  size_t touched = 0;
-  for (EntryId key = 0; key < kUniverse; ++key) {
-    if (final_count[key] == 0) continue;
-    ++touched;
-    auto got = store->Peek(key);
-    ASSERT_TRUE(got.ok()) << "key " << key;
-    const std::vector<float> values = std::move(got).ValueOrDie();
-    const auto want = ExpectedWeights(init, key, final_count[key]);
-    EXPECT_TRUE(SameWeights(values.data(), want))
-        << "key " << key << " after " << final_count[key] << " pushes";
-  }
-  EXPECT_EQ(store->EntryCount(), touched);
-
-  // The shared hot head was touched by every thread in every batch: it must
-  // have accumulated frequency far past the pin threshold and survived all
-  // eviction pressure from the rotating cold slices.
-  for (EntryId key = 0; key < kHot; ++key) {
-    EXPECT_TRUE(store->IsDramCached(key)) << "hot key " << key << " evicted";
-  }
-  EXPECT_GT(store->PinnedEntries(), 0u);
-  EXPECT_GT(store->stats().admission_rejects.load(), 0u);
-}
-
 TEST(TcpClusterConcurrencyTest, MultiClientFanOutConverges) {
   constexpr int kNodes = 4;
   constexpr int kThreads = 4;

@@ -135,16 +135,13 @@ TEST(CrashSimTest, DefaultConfigScheduleMatchesGolden) {
   }
 }
 
-// Crash-point enumeration under the frequency-aware cache policy with a
-// cache small enough that the admission filter and the windowed victim
-// scan fire at every maintenance chunk. The policy changes *which* entries
-// are DRAM-resident (and thus the flush/eviction persist schedule) at each
-// crash point, but every recovery invariant must hold unchanged.
-TEST(CrashSimTest, EnumerateAllWithFreqPolicy) {
+// Crash-point enumeration with a cache small enough that every
+// maintenance chunk evicts: most keys are PMem-resident at each push, and
+// the flush/eviction persist schedule differs from the default config's,
+// but every recovery invariant must hold unchanged.
+TEST(CrashSimTest, EnumerateAllUnderEvictionChurn) {
   CrashSimOptions options = BaseOptions(4);
-  options.store.cache_policy = oe::storage::CachePolicy::kFreqAware;
-  options.store.cache_bytes = 512;     // a handful of entries: constant churn
-  options.store.hot_pin_min_freq = 2;  // pin early in the short workload
+  options.store.cache_bytes = 512;  // a handful of entries: constant churn
   CrashSim sim(options);
   ASSERT_TRUE(sim.CountEvents().ok());
   ASSERT_GT(sim.total_events(), 0u);
@@ -154,19 +151,17 @@ TEST(CrashSimTest, EnumerateAllWithFreqPolicy) {
   ExpectAllOk(sim, results);
 }
 
-// The same policy with a write-back pass running beside Push, as in
-// training: under kFreqAware, Push copies-on-write or updates in place the
-// PMem-resident records the admission filter rejected, while the pass may
-// publish the checkpoint that decides between the two. The persist order
-// is not fixed, so each crash point is checked only for recovery
-// consistency: a requested checkpoint recovered bit-exactly.
-TEST(CrashSimTest, FreqPolicyPassBesidePushRecoversConsistently) {
+// The same churn with a write-back pass running beside Push, as in
+// training: Push copies-on-write or updates in place the PMem-resident
+// records the chunk evicted, while the pass may publish the checkpoint
+// that decides between the two. The persist order is not fixed, so each
+// crash point is checked only for recovery consistency: a requested
+// checkpoint recovered bit-exactly.
+TEST(CrashSimTest, PassBesidePushRecoversConsistently) {
   const uint64_t seed = oe::test::TestSeed(20261017);
   SCOPED_TRACE("OE_TEST_SEED=" + std::to_string(seed));
   CrashSimOptions options = BaseOptions(4);
-  options.store.cache_policy = oe::storage::CachePolicy::kFreqAware;
   options.store.cache_bytes = 512;
-  options.store.hot_pin_min_freq = 2;
   options.quiesce_before_push = false;
   options.batches = 24;
   options.checkpoint_every = 2;

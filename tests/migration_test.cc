@@ -20,7 +20,6 @@
 #include "common/logging.h"
 #include "pmem/device.h"
 #include "pmem/fault_plan.h"
-#include "ps/placement.h"
 #include "ps/ps_client.h"
 #include "ps/ps_cluster.h"
 #include "ps/ps_service.h"
@@ -144,20 +143,18 @@ TEST(StoreMigrationTest, OwnedSlotsRootRoundTrips) {
 
   std::vector<bool> owned(kNumRoutingSlots, false);
   owned[7] = owned[4090] = true;
-  ASSERT_TRUE(store->SetOwnedSlots(3, owned, {11, 22}).ok());
+  ASSERT_TRUE(store->SetOwnedSlots(3, owned).ok());
   auto read = store->ReadOwnedSlots().ValueOrDie();
   EXPECT_TRUE(read.present);
   EXPECT_EQ(read.epoch, 3u);
   EXPECT_EQ(read.owned, owned);
-  EXPECT_EQ(read.extras, (std::unordered_set<EntryId>{11, 22}));
 
   // A rewrite replaces (not merges) the previous root.
   std::vector<bool> owned2(kNumRoutingSlots, true);
-  ASSERT_TRUE(store->SetOwnedSlots(4, owned2, {}).ok());
+  ASSERT_TRUE(store->SetOwnedSlots(4, owned2).ok());
   read = store->ReadOwnedSlots().ValueOrDie();
   EXPECT_EQ(read.epoch, 4u);
   EXPECT_EQ(read.owned, owned2);
-  EXPECT_TRUE(read.extras.empty());
 }
 
 TEST(StoreMigrationTest, ExportImportRoundTripsModelAndCheckpoint) {
@@ -175,7 +172,7 @@ TEST(StoreMigrationTest, ExportImportRoundTripsModelAndCheckpoint) {
   auto log =
       ckpt::CheckpointLog::Create(log_device.get(), layout).ValueOrDie();
   std::vector<bool> all(kNumRoutingSlots, true);
-  ASSERT_TRUE(src->ExportRange(all, {}, log.get()).ok());
+  ASSERT_TRUE(src->ExportRange(all, log.get()).ok());
 
   auto dst_device = test::MakeDevice();
   auto dst = PipelinedStore::Create(StoreCfg(), dst_device.get()).ValueOrDie();
@@ -206,16 +203,16 @@ TEST(StoreMigrationTest, ExportRequiresPublishedCheckpointUnlessEmpty) {
 
   // No checkpoint yet: a non-empty range has no snapshot to migrate.
   std::vector<bool> all(kNumRoutingSlots, true);
-  EXPECT_EQ(store->ExportRange(all, {}, log.get()).code(),
+  EXPECT_EQ(store->ExportRange(all, log.get()).code(),
             StatusCode::kFailedPrecondition);
   // An empty range is legal without one (nothing to snapshot).
   std::vector<bool> none(kNumRoutingSlots, false);
-  EXPECT_TRUE(store->ExportRange(none, {}, log.get()).ok());
+  EXPECT_TRUE(store->ExportRange(none, log.get()).ok());
 }
 
 TEST(StoreMigrationTest, ImportPrefersLocalCopies) {
-  // A key already present on the target (hot replica, or a re-delivered
-  // image) must win over the imported record.
+  // A key already present on the target (a re-delivered image) must win
+  // over the imported record.
   auto src_device = test::MakeDevice();
   auto src = PipelinedStore::Create(StoreCfg(), src_device.get()).ValueOrDie();
   std::vector<EntryId> keys = {5, 6, 7, 8};
@@ -229,7 +226,7 @@ TEST(StoreMigrationTest, ImportPrefersLocalCopies) {
   auto log =
       ckpt::CheckpointLog::Create(log_device.get(), layout).ValueOrDie();
   std::vector<bool> all(kNumRoutingSlots, true);
-  ASSERT_TRUE(src->ExportRange(all, {}, log.get()).ok());
+  ASSERT_TRUE(src->ExportRange(all, log.get()).ok());
 
   auto dst_device = test::MakeDevice();
   auto dst = PipelinedStore::Create(StoreCfg(), dst_device.get()).ValueOrDie();
@@ -245,7 +242,7 @@ TEST(StoreMigrationTest, ImportPrefersLocalCopies) {
   }
 }
 
-TEST(StoreMigrationTest, PurgeSlotsDropsRangeButKeepsExtras) {
+TEST(StoreMigrationTest, PurgeSlotsDropsRange) {
   auto device = test::MakeDevice();
   auto store = PipelinedStore::Create(StoreCfg(), device.get()).ValueOrDie();
   const auto keep_keys = KeysBySlotParity(false, 12, 1);
@@ -255,15 +252,11 @@ TEST(StoreMigrationTest, PurgeSlotsDropsRangeButKeepsExtras) {
   TrainStore(store.get(), all_keys, 1, 2, 0.5f);
   Checkpoint(store.get(), 2);
 
-  const EntryId pinned_hot = purge_keys.front();
-  ASSERT_TRUE(
-      store->PurgeSlots(BitmapOfKeys(purge_keys), {pinned_hot}).ok());
+  ASSERT_TRUE(store->PurgeSlots(BitmapOfKeys(purge_keys)).ok());
 
-  EXPECT_EQ(store->EntryCount(), keep_keys.size() + 1);
-  EXPECT_TRUE(store->Peek(pinned_hot).ok());
+  EXPECT_EQ(store->EntryCount(), keep_keys.size());
   for (EntryId key : keep_keys) EXPECT_TRUE(store->Peek(key).ok());
   for (EntryId key : purge_keys) {
-    if (key == pinned_hot) continue;
     EXPECT_FALSE(store->Peek(key).ok()) << "key " << key;
   }
   // The purged range is re-usable: pulling a dropped key re-initializes it.
@@ -285,7 +278,7 @@ TEST(StoreMigrationTest, RemoveKeysRollsBackAnImportedRange) {
   auto log =
       ckpt::CheckpointLog::Create(log_device.get(), layout).ValueOrDie();
   std::vector<bool> all(kNumRoutingSlots, true);
-  ASSERT_TRUE(src->ExportRange(all, {}, log.get()).ok());
+  ASSERT_TRUE(src->ExportRange(all, log.get()).ok());
 
   auto dst_device = test::MakeDevice();
   auto dst = PipelinedStore::Create(StoreCfg(), dst_device.get()).ValueOrDie();
@@ -311,25 +304,20 @@ TEST(StoreMigrationTest, RecoveryDiscardsRecordsOutsideCommittedOwnership) {
   for (EntryId key : owned_keys) {
     owned_values.push_back(store->Peek(key).ValueOrDie());
   }
-  const EntryId extra = foreign_keys.front();
-  const auto extra_value = store->Peek(extra).ValueOrDie();
 
-  // Commit ownership of only the even-slot half, plus one hot extra from
-  // the foreign half.
-  ASSERT_TRUE(store->SetOwnedSlots(2, BitmapOfKeys(owned_keys), {extra}).ok());
+  // Commit ownership of only the even-slot half.
+  ASSERT_TRUE(store->SetOwnedSlots(2, BitmapOfKeys(owned_keys)).ok());
 
   store.reset();
   device->SimulateCrash();
   auto reopened = PipelinedStore::Open(StoreCfg(), device.get()).ValueOrDie();
 
   EXPECT_EQ(reopened->PublishedCheckpoint(), 2u);
-  EXPECT_EQ(reopened->EntryCount(), owned_keys.size() + 1);
+  EXPECT_EQ(reopened->EntryCount(), owned_keys.size());
   for (size_t i = 0; i < owned_keys.size(); ++i) {
     EXPECT_EQ(reopened->Peek(owned_keys[i]).ValueOrDie(), owned_values[i]);
   }
-  EXPECT_EQ(reopened->Peek(extra).ValueOrDie(), extra_value);
   for (EntryId key : foreign_keys) {
-    if (key == extra) continue;
     EXPECT_FALSE(reopened->Peek(key).ok()) << "key " << key;
   }
   // And the reopened root still names the committed ownership.
@@ -373,7 +361,7 @@ class TargetImportCrashRig {
     const storage::EntryLayout layout(kDim, StoreCfg().optimizer.Slots());
     log_ = ckpt::CheckpointLog::Create(log_device_.get(), layout).ValueOrDie();
     std::vector<bool> all(kNumRoutingSlots, true);
-    OE_CHECK_OK(src->ExportRange(all, {}, log_.get()));
+    OE_CHECK_OK(src->ExportRange(all, log_.get()));
   }
 
   // Runs the sequence; fills `out` and returns "" or the first violation.
@@ -396,12 +384,12 @@ class TargetImportCrashRig {
 
     // The migration sequence under test; statuses are ignored once the
     // device has crashed (the doomed execution continues, suppressed).
-    (void)target->SetOwnedSlots(1, BitmapOfKeys(local_keys_), {});
+    (void)target->SetOwnedSlots(1, BitmapOfKeys(local_keys_));
     std::vector<EntryId> imported;
     (void)target->ImportRange(*log_, &imported);
     std::vector<bool> combined = BitmapOfKeys(local_keys_);
     for (EntryId key : incoming_keys_) combined[SlotOfKey(key)] = true;
-    (void)target->SetOwnedSlots(2, combined, {});
+    (void)target->SetOwnedSlots(2, combined);
 
     if (crash_at == 0) {
       out->total_events = device->persist_events() - base;
@@ -537,9 +525,9 @@ TEST(MigrationCrashTest, SourcePurgeAtomicAtEveryPersistSite) {
     device->InstallFaultPlan(plan);
     const uint64_t base = device->persist_events();
 
-    (void)store->SetOwnedSlots(1, full, {});
-    (void)store->SetOwnedSlots(2, BitmapOfKeys(kept_keys), {});
-    (void)store->PurgeSlots(BitmapOfKeys(handed_keys), {});
+    (void)store->SetOwnedSlots(1, full);
+    (void)store->SetOwnedSlots(2, BitmapOfKeys(kept_keys));
+    (void)store->PurgeSlots(BitmapOfKeys(handed_keys));
 
     if (crash_at == 0) {
       out->total_events = device->persist_events() - base;
@@ -1047,74 +1035,13 @@ TEST(ElasticClusterTest, SourceKillAfterPublishCompletesViaReconcile) {
   }
 }
 
-// ---------- Hot keys and membership ----------
+// ---------- Node restart ----------
 
-// Hot-key replicas are epoch-pinned: migration moves everything else off a
-// replica host but leaves the replicas in place and serving, and a host of
-// pinned replicas refuses to drain.
-TEST(ElasticClusterTest, HotReplicasPinnedAcrossMigration) {
+// A restarted node rebuilds its ServingCache: it comes back with a fresh,
+// empty cache in front of its recovered store, refills it from snapshot
+// reads, and the serving tier returns the identical snapshot.
+TEST(ElasticClusterTest, RestartedNodeRebuildsServingCache) {
   ps::ClusterOptions options = ClusterCfg(4);
-  options.hot_replicate_keys = 2;  // keys 0 and 1
-  options.hot_replicas = 2;
-  auto cluster = ps::PsCluster::Create(options).ValueOrDie();
-  std::vector<EntryId> keys(48);
-  std::iota(keys.begin(), keys.end(), 0);  // includes the hot ids 0, 1
-  ASSERT_TRUE(TrainBatches(&cluster->client(), keys, 1, 3).ok());
-  ASSERT_TRUE(cluster->client().RequestCheckpoint(3).ok());
-  ASSERT_TRUE(cluster->client().DrainCheckpoints().ok());
-
-  const auto* placement = cluster->placement();
-  ASSERT_NE(placement, nullptr);
-  const uint32_t host = placement->ReplicaNode(0, 0);
-
-  ASSERT_EQ(cluster->AddNode().ValueOrDie(), 4u);
-  const auto slots = cluster->directory()->Current()->SlotsOwnedBy(host);
-  ASSERT_TRUE(cluster->MigrateSlots(slots, 4).ok());
-
-  // The replica host kept exactly its pinned hot copies.
-  for (EntryId hot : placement->hot_keys()) {
-    if (placement->is_replica(host, hot)) {
-      EXPECT_TRUE(cluster->store(host)->Peek(hot).ok()) << "hot " << hot;
-    }
-  }
-  // Replicas stay bit-identical through continued training (pushes still
-  // fan to the pinned set under one sequence number).
-  ASSERT_TRUE(TrainBatches(&cluster->client(), keys, 4, 6).ok());
-  for (EntryId hot : placement->hot_keys()) {
-    const auto first =
-        cluster->store(placement->ReplicaNode(hot, 0))->Peek(hot).ValueOrDie();
-    for (uint32_t r = 1; r < placement->replicas(); ++r) {
-      EXPECT_EQ(
-          cluster->store(placement->ReplicaNode(hot, r))->Peek(hot).ValueOrDie(),
-          first)
-          << "hot " << hot << " replica " << r;
-    }
-  }
-  EXPECT_EQ(cluster->DrainNode(host).code(), StatusCode::kFailedPrecondition);
-
-  // Golden comparison: the same workload without any membership change.
-  ps::ClusterOptions golden_options = ClusterCfg(4);
-  golden_options.hot_replicate_keys = 2;
-  golden_options.hot_replicas = 2;
-  auto golden = ps::PsCluster::Create(golden_options).ValueOrDie();
-  ASSERT_TRUE(TrainBatches(&golden->client(), keys, 1, 3).ok());
-  ASSERT_TRUE(golden->client().RequestCheckpoint(3).ok());
-  ASSERT_TRUE(golden->client().DrainCheckpoints().ok());
-  ASSERT_TRUE(TrainBatches(&golden->client(), keys, 4, 6).ok());
-  const auto golden_values = PeekAll(&golden->client(), keys);
-  const auto values = PeekAll(&cluster->client(), keys);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(values[i], golden_values[i]) << "key " << keys[i];
-  }
-}
-
-// Satellite regression: a restarted node rebuilds its ServingCache and
-// re-warms its hot-key replicas — afterwards it serves bit-identical
-// replica reads and snapshot MultiGets.
-TEST(ElasticClusterTest, RestartedNodeRebuildsServingCacheAndReplicas) {
-  ps::ClusterOptions options = ClusterCfg(4);
-  options.hot_replicate_keys = 4;
-  options.hot_replicas = 2;
   options.serving_cache_bytes = 32 << 10;
   auto cluster = ps::PsCluster::Create(options).ValueOrDie();
   std::vector<EntryId> keys(32);
@@ -1122,12 +1049,9 @@ TEST(ElasticClusterTest, RestartedNodeRebuildsServingCacheAndReplicas) {
   ASSERT_TRUE(TrainBatches(&cluster->client(), keys, 1, 3).ok());
   ASSERT_TRUE(cluster->client().RequestCheckpoint(3).ok());
   ASSERT_TRUE(cluster->client().DrainCheckpoints().ok());
+  const uint32_t victim = cluster->client().router().NodeFor(0);
 
-  const auto* placement = cluster->placement();
-  ASSERT_NE(placement, nullptr);
-  const uint32_t victim = placement->ReplicaNode(0, 0);
-
-  // Snapshot serving state before the crash.
+  // Snapshot serving state before the crash; the read fills the caches.
   std::vector<float> out(keys.size() * kDim);
   std::vector<uint8_t> found(keys.size());
   uint64_t cp = 0;
@@ -1137,29 +1061,19 @@ TEST(ElasticClusterTest, RestartedNodeRebuildsServingCacheAndReplicas) {
                   .ok());
   ASSERT_EQ(cp, 3u);
   const std::vector<float> serving_before = out;
+  ASSERT_GT(cluster->service(victim)->serving_cache()->entries(), 0u);
 
   ASSERT_TRUE(cluster->KillNode(victim).ok());
   ASSERT_TRUE(cluster->RestartNode(victim).ok());
-  // Recover() rolls every shard to the cluster checkpoint and re-warms the
-  // hot-key replicas through the deterministic first-touch path.
   ASSERT_TRUE(cluster->client().Recover().ok());
 
   // The restarted node has a fresh serving cache in front of its store.
   ASSERT_NE(cluster->service(victim), nullptr);
-  EXPECT_NE(cluster->service(victim)->serving_cache(), nullptr);
+  const ps::ServingCache* cache = cluster->service(victim)->serving_cache();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->entries(), 0u);
 
-  // Replica reads off the restarted node are bit-identical to its peers'.
-  for (EntryId hot : placement->hot_keys()) {
-    if (!placement->is_replica(victim, hot)) continue;
-    const auto mine = cluster->store(victim)->Peek(hot).ValueOrDie();
-    for (uint32_t r = 0; r < placement->replicas(); ++r) {
-      const uint32_t peer = placement->ReplicaNode(hot, r);
-      if (peer == victim) continue;
-      EXPECT_EQ(cluster->store(peer)->Peek(hot).ValueOrDie(), mine)
-          << "hot " << hot;
-    }
-  }
-  // And the serving tier returns the identical snapshot.
+  // The serving tier returns the identical snapshot and refills the cache.
   std::fill(out.begin(), out.end(), -1.0f);
   ASSERT_TRUE(cluster->client()
                   .MultiGet(keys.data(), keys.size(), out.data(),
@@ -1167,18 +1081,9 @@ TEST(ElasticClusterTest, RestartedNodeRebuildsServingCacheAndReplicas) {
                   .ok());
   EXPECT_EQ(cp, 3u);
   EXPECT_EQ(out, serving_before);
-  // Replicas keep agreeing through post-restart training.
+  EXPECT_GT(cache->entries(), 0u);
+  // Training resumes across the restarted node.
   ASSERT_TRUE(TrainBatches(&cluster->client(), keys, 4, 5).ok());
-  for (EntryId hot : placement->hot_keys()) {
-    const auto first =
-        cluster->store(placement->ReplicaNode(hot, 0))->Peek(hot).ValueOrDie();
-    for (uint32_t r = 1; r < placement->replicas(); ++r) {
-      EXPECT_EQ(
-          cluster->store(placement->ReplicaNode(hot, r))->Peek(hot).ValueOrDie(),
-          first)
-          << "hot " << hot;
-    }
-  }
 }
 
 // ---------- Membership validation ----------

@@ -2,13 +2,14 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "net/transport.h"
-#include "ps/placement.h"
 #include "ps/ps_cluster.h"
 
 namespace oe::ps {
@@ -111,138 +112,102 @@ INSTANTIATE_TEST_SUITE_P(Kinds, PsClusterTest,
                                    : "PmemHash");
                          });
 
-TEST(PlacementTableTest, ReplicaAssignment) {
-  Router router(4);
-  PlacementTable table(router, {1, 2, 3}, 2);
-  EXPECT_TRUE(table.is_hot(1));
-  EXPECT_TRUE(table.is_hot(3));
-  EXPECT_FALSE(table.is_hot(99));
-  EXPECT_EQ(table.replicas(), 2u);
-  for (uint64_t key : {1, 2, 3}) {
-    // Replica 0 is the home node; further replicas are the next nodes in
-    // ring order, all distinct.
-    EXPECT_EQ(table.ReplicaNode(key, 0), router.NodeFor(key));
-    EXPECT_EQ(table.ReplicaNode(key, 1),
-              (router.NodeFor(key) + 1) % 4);
-  }
-}
-
-TEST(PlacementTableTest, ReplicasClampedToClusterSize) {
-  Router router(2);
-  PlacementTable table(router, {7}, 5);
-  EXPECT_EQ(table.replicas(), 2u);
-  PlacementTable none(router, {7}, 0);
-  EXPECT_EQ(none.replicas(), 1u);
-}
-
-TEST(PsClusterPlacementTest, HotKeyReplicasStayBitIdentical) {
-  ClusterOptions options = BaseOptions(StoreKind::kPipelined, 3);
-  options.hot_replicate_keys = 4;
-  options.hot_replicas = 2;
+// Two workers push the same keys in the same batch, concurrently, so each
+// owner applies their gradients in arrival order. SGD from zero with
+// gradients in multiples of 1/64 and learning rate 1/2 is exact in any
+// apply order: every key must equal the exact sum of both workers'
+// updates, held by exactly one node.
+TEST(PsClusterMultiWorkerTest, ConcurrentPushesOfOneKeySumExactly) {
+  ClusterOptions options = BaseOptions(StoreKind::kPipelined, 2);
+  options.store.initializer.kind = storage::InitializerKind::kZeros;
   auto cluster = PsCluster::Create(options).ValueOrDie();
-  auto& client = cluster->client();
-  const PlacementTable* placement = cluster->placement();
-  ASSERT_NE(placement, nullptr);
-
-  Random rng(11);
-  for (uint64_t batch = 1; batch <= 8; ++batch) {
-    std::vector<uint64_t> keys = {0, 1, 2, 3};  // the replicated hot head
-    for (int i = 0; i < 8; ++i) keys.push_back(10 + rng.Uniform(50));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    std::vector<float> weights(keys.size() * kDim);
-    ASSERT_TRUE(
-        client.Pull(keys.data(), keys.size(), batch, weights.data()).ok());
-    ASSERT_TRUE(client.FinishPullPhase(batch).ok());
-    std::vector<float> grads(keys.size() * kDim);
-    for (auto& g : grads) g = rng.UniformFloat(-0.5f, 0.5f);
-    ASSERT_TRUE(
-        client.Push(keys.data(), keys.size(), grads.data(), batch).ok());
+  std::vector<std::unique_ptr<PsClient>> workers;
+  workers.push_back(cluster->NewClient());
+  workers.push_back(cluster->NewClient());
+  std::vector<uint64_t> keys(8);
+  std::iota(keys.begin(), keys.end(), 0);
+  std::set<uint32_t> owners;
+  for (uint64_t key : keys) {
+    owners.insert(cluster->client().router().NodeFor(key));
   }
+  ASSERT_EQ(owners.size(), 2u) << "the keys should span both nodes";
 
-  // Every replica of every hot key holds bit-identical weights: pushes fan
-  // to all replicas exactly once (dedup window) and the server-side
-  // optimizer and first-touch initializer are deterministic.
-  for (uint64_t key = 0; key < 4; ++key) {
-    const uint32_t home = placement->ReplicaNode(key, 0);
-    auto want = cluster->store(home)->Peek(key);
-    ASSERT_TRUE(want.ok()) << "hot key " << key << " missing on home node";
-    for (uint32_t r = 1; r < placement->replicas(); ++r) {
-      const uint32_t node = placement->ReplicaNode(key, r);
-      ASSERT_NE(node, home);
-      auto got = cluster->store(node)->Peek(key);
-      ASSERT_TRUE(got.ok()) << "hot key " << key << " missing replica " << r;
-      EXPECT_EQ(got.value(), want.value())
-          << "replica " << r << " of key " << key << " diverged";
+  auto grad = [](size_t worker, uint64_t batch, size_t i, uint32_t d) {
+    const int m =
+        static_cast<int>((worker * 7 + batch * 5 + i * 3 + d) % 17) - 8;
+    return static_cast<float>(m) / 64.0f;
+  };
+  // Runs step(worker) on one thread per worker and checks every status.
+  auto run_workers = [&](auto&& step) {
+    std::vector<Status> status(workers.size());
+    std::vector<std::thread> threads;
+    for (size_t w = 0; w < workers.size(); ++w) {
+      threads.emplace_back([&, w] { status[w] = step(w); });
     }
-  }
-
-  // Non-hot keys live only on their home node.
-  for (uint64_t key = 10; key < 60; ++key) {
-    for (uint32_t node = 0; node < 3; ++node) {
-      if (node == placement->router().NodeFor(key)) continue;
-      EXPECT_FALSE(cluster->store(node)->Peek(key).ok())
-          << "cold key " << key << " replicated to node " << node;
-    }
-  }
-
-  // A second client shares the same placement and reads the same values.
-  auto client_b = cluster->NewClient();
-  auto seen = client_b->Peek(0).ValueOrDie();
-  EXPECT_EQ(seen, cluster->store(placement->ReplicaNode(0, 0))
-                      ->Peek(0)
-                      .ValueOrDie());
-}
-
-TEST(PsClusterPlacementTest, ReplicationSpreadsHotLoad) {
-  // One ultra-hot key dominates the pull stream. Without placement its home
-  // node absorbs the full hot load; replicating it across all nodes must
-  // bring the measured imbalance down.
-  auto run = [](uint64_t hot_replicate_keys) {
-    ClusterOptions options = BaseOptions(StoreKind::kPipelined, 4);
-    options.hot_replicate_keys = hot_replicate_keys;
-    options.hot_replicas = 4;
-    auto cluster = PsCluster::Create(options).ValueOrDie();
-    auto& client = cluster->client();
-    for (uint64_t batch = 1; batch <= 50; ++batch) {
-      std::vector<uint64_t> keys = {0, 100 + 3 * batch, 101 + 3 * batch,
-                                    102 + 3 * batch};
-      std::sort(keys.begin(), keys.end());
-      std::vector<float> weights(keys.size() * kDim);
-      EXPECT_TRUE(
-          client.Pull(keys.data(), keys.size(), batch, weights.data()).ok());
-      EXPECT_TRUE(client.FinishPullPhase(batch).ok());
-    }
-    cluster->RefreshLoadGauges();
-    return cluster->LoadImbalance();
+    for (auto& thread : threads) thread.join();
+    for (const Status& s : status) ASSERT_TRUE(s.ok()) << s.ToString();
   };
 
-  const double without = run(0);
-  const double with_placement = run(1);
-  EXPECT_GE(without, 1.0);
-  EXPECT_GE(with_placement, 1.0);
-  EXPECT_LT(with_placement, without);
+  std::vector<double> want(keys.size() * kDim, 0.0);
+  for (uint64_t batch = 1; batch <= 50; ++batch) {
+    run_workers([&](size_t w) {
+      std::vector<float> weights(keys.size() * kDim);
+      return workers[w]->Pull(keys.data(), keys.size(), batch,
+                              weights.data());
+    });
+    ASSERT_TRUE(cluster->client().FinishPullPhase(batch).ok());
+    run_workers([&](size_t w) {
+      std::vector<float> grads(keys.size() * kDim);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        for (uint32_t d = 0; d < kDim; ++d) {
+          grads[i * kDim + d] = grad(w, batch, i, d);
+        }
+      }
+      return workers[w]->Push(keys.data(), keys.size(), grads.data(), batch);
+    });
+    for (size_t w = 0; w < workers.size(); ++w) {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        for (uint32_t d = 0; d < kDim; ++d) {
+          want[i * kDim + d] -= 0.5 * grad(w, batch, i, d);
+        }
+      }
+    }
+  }
+
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::vector<float> got =
+        cluster->client().Peek(keys[i]).ValueOrDie();
+    ASSERT_EQ(got.size(), kDim);
+    for (uint32_t d = 0; d < kDim; ++d) {
+      EXPECT_EQ(got[d], static_cast<float>(want[i * kDim + d]))
+          << "key " << keys[i] << " dim " << d;
+    }
+    int holders = 0;
+    for (uint32_t node = 0; node < 2; ++node) {
+      holders += cluster->store(node)->Peek(keys[i]).ok();
+    }
+    EXPECT_EQ(holders, 1) << "key " << keys[i];
+  }
 }
 
-TEST(PsClusterPlacementTest, NodePullKeysAccumulate) {
-  ClusterOptions options = BaseOptions(StoreKind::kPipelined, 2);
-  options.hot_replicate_keys = 2;
-  options.hot_replicas = 2;
-  auto cluster = PsCluster::Create(options).ValueOrDie();
+TEST(PsClusterLoadTest, NodePullKeysAccumulate) {
+  auto cluster =
+      PsCluster::Create(BaseOptions(StoreKind::kPipelined, 2)).ValueOrDie();
   auto& client = cluster->client();
-  std::vector<uint64_t> keys = {0, 1};
+  std::vector<uint64_t> keys(16);
+  std::iota(keys.begin(), keys.end(), 0);
   std::vector<float> weights(keys.size() * kDim);
+  std::vector<uint64_t> want(2, 0);
+  for (uint64_t key : keys) want[client.router().NodeFor(key)] += 6;
+  ASSERT_GT(want[0], 0u);
+  ASSERT_GT(want[1], 0u);
   for (uint64_t batch = 1; batch <= 6; ++batch) {
     ASSERT_TRUE(
         client.Pull(keys.data(), keys.size(), batch, weights.data()).ok());
     ASSERT_TRUE(client.FinishPullPhase(batch).ok());
   }
   cluster->RefreshLoadGauges();
-  const auto per_node = cluster->NodePullKeys();
-  ASSERT_EQ(per_node.size(), 2u);
-  // Hot pulls round-robin the two replicas: both nodes saw traffic.
-  EXPECT_GT(per_node[0], 0u);
-  EXPECT_GT(per_node[1], 0u);
+  EXPECT_EQ(cluster->NodePullKeys(), want);
 }
 
 TEST(PsClusterCheckpointTest, DistributedCheckpointAndRecovery) {

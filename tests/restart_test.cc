@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,14 +82,16 @@ TEST(PipelinedRestartTest, OpenRejectsRetiredPoolTags) {
   }
 }
 
-// The routing root's blob carries its own lengths. A corrupt extra-key
-// count, or a root naming no committed blob, must fail Open with
-// Corruption instead of reading past the blob.
+// The routing blob has one fixed length, [epoch u64][num_slots u64]
+// [bitmap], checked against its committed extent. A blob of the wrong
+// length, a wrong slot count, or a root naming no committed blob must fail
+// Open with Corruption instead of reading past the blob.
 TEST(PipelinedRestartTest, OpenRejectsCorruptRoutingBlob) {
   const std::vector<EntryId> keys = {1, 2, 3, 4};
-  for (const uint64_t bad_count :
-       {uint64_t{3}, uint64_t{1} << 40, uint64_t{0}}) {
-    SCOPED_TRACE("extra count " + std::to_string(bad_count));
+  constexpr uint64_t kBlobBytes = 8 + 8 + kNumRoutingSlots / 8;
+  for (const std::string corruption :
+       {"short", "long", "slot count", "mid-blob root"}) {
+    SCOPED_TRACE(corruption);
     auto device = MakeDevice({.size_bytes = 8 << 20});
     {
       auto store = PipelinedStore::Create(SmallConfig(), device.get())
@@ -97,22 +100,32 @@ TEST(PipelinedRestartTest, OpenRejectsCorruptRoutingBlob) {
       ASSERT_TRUE(store->RequestCheckpoint(1).ok());
       ASSERT_TRUE(store->DrainCheckpoints().ok());
       const std::vector<bool> owned(kNumRoutingSlots, true);
-      ASSERT_TRUE(store->SetOwnedSlots(1, owned, {1, 2}).ok());
-      ASSERT_EQ(store->ReadOwnedSlots().ValueOrDie().extras.size(), 2u);
+      ASSERT_TRUE(store->SetOwnedSlots(1, owned).ok());
+      ASSERT_TRUE(store->ReadOwnedSlots().ValueOrDie().present);
     }
     {
       auto pool = pmem::PmemPool::Open(device.get()).ValueOrDie();
       const uint64_t blob = pool->RootGet(PipelinedStore::kRootRouting);
       ASSERT_NE(blob, 0u);
-      if (bad_count == 0) {
+      if (corruption == "short" || corruption == "long") {
+        // A copy of the blob, one word short or long, committed under the
+        // routing tag and named by the root.
+        std::vector<uint8_t> bytes(kBlobBytes + 8, 0);
+        device->Read(blob, bytes.data(), kBlobBytes);
+        bytes.resize(corruption == "short" ? kBlobBytes - 8 : kBlobBytes + 8);
+        const uint64_t copy =
+            pool->AllocWrite(bytes.data(), bytes.size(),
+                             PipelinedStore::kRouteTag)
+                .ValueOrDie();
+        pool->RootSet(PipelinedStore::kRootRouting, copy);
+      } else if (corruption == "slot count") {
+        const uint64_t bad_slots = kNumRoutingSlots + 1;
+        device->Write(blob + 8, &bad_slots, sizeof(bad_slots));
+        device->Persist(blob + 8, sizeof(bad_slots));
+      } else {
         // Point the root into the middle of the blob: no committed blob
         // starts there.
         pool->RootSet(PipelinedStore::kRootRouting, blob + 8);
-      } else {
-        // [epoch u64][num_slots u64][bitmap][extra_count u64][extras...]
-        const uint64_t at = blob + 8 + 8 + kNumRoutingSlots / 8;
-        device->Write(at, &bad_count, sizeof(bad_count));
-        device->Persist(at, sizeof(bad_count));
       }
     }
     auto opened = PipelinedStore::Open(SmallConfig(), device.get());

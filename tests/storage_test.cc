@@ -416,129 +416,6 @@ TEST_F(PipelinedStoreTest, HitRateHighForRepeatedKeys) {
   EXPECT_GT(store_->stats_snapshot().HitRate(), 0.85);
 }
 
-// ---------- Frequency-aware cache policy ----------
-
-class FreqPolicyTest : public PipelinedStoreTest {
- protected:
-  void SetUp() override {
-    device_ = MakeDevice();
-    config_ = SmallConfig();
-    config_.cache_policy = CachePolicy::kFreqAware;
-    store_ = PipelinedStore::Create(config_, device_.get()).ValueOrDie();
-  }
-
-  // `batches` rounds of: a fixed hot set (ids [0, hot)) plus a cold scan
-  // segment — the classic LRU-thrash workload. cold_universe == 0 makes
-  // cold ids never repeat (pure creation churn); a nonzero universe cycles
-  // through it, so revisits reload PMem-resident victims of earlier
-  // evictions and exercise the admission filter.
-  void RunSkewedScan(PipelinedStore* store, uint64_t batches, size_t hot,
-                     size_t cold_per_batch, uint64_t cold_universe = 0) {
-    uint64_t cold_cursor = 0;
-    for (uint64_t batch = 1; batch <= batches; ++batch) {
-      std::vector<EntryId> keys(hot);
-      std::iota(keys.begin(), keys.end(), 0);
-      for (size_t i = 0; i < cold_per_batch; ++i, ++cold_cursor) {
-        keys.push_back((1 << 20) + (cold_universe == 0
-                                        ? cold_cursor
-                                        : cold_cursor % cold_universe));
-      }
-      std::vector<float> w(keys.size() * kDim);
-      ASSERT_TRUE(
-          store->Pull(keys.data(), keys.size(), batch, w.data()).ok());
-      store->FinishPullPhase(batch);
-      std::vector<float> grads(keys.size() * kDim, 0.1f);
-      ASSERT_TRUE(
-          store->Push(keys.data(), keys.size(), grads.data(), batch).ok());
-    }
-    store->WaitMaintenance(batches);
-  }
-};
-
-TEST_F(FreqPolicyTest, HotSetSurvivesColdScans) {
-  const size_t capacity = store_->CacheCapacityEntries();
-  const size_t hot = capacity / 4;
-  RunSkewedScan(store_.get(), /*batches=*/24, hot, /*cold_per_batch=*/capacity,
-                /*cold_universe=*/2 * capacity);
-
-  // The hot head is still DRAM-resident despite 24 full-capacity scans.
-  for (EntryId key = 0; key < hot; ++key) {
-    EXPECT_TRUE(store_->IsDramCached(key)) << "hot key " << key << " evicted";
-  }
-  EXPECT_GT(store_->PinnedEntries(), 0u);
-  EXPECT_GT(store_->stats().admission_rejects.load(), 0u);
-  EXPECT_LE(store_->CachedEntries(), capacity);
-}
-
-TEST_F(FreqPolicyTest, BeatsPlainLruOnSkewedScan) {
-  const size_t capacity = store_->CacheCapacityEntries();
-  const size_t hot = capacity / 4;
-  RunSkewedScan(store_.get(), 24, hot, capacity, 2 * capacity);
-  const double freq_rate = store_->stats_snapshot().HitRate();
-
-  auto lru_device = MakeDevice();
-  StoreConfig lru_config = SmallConfig();  // cache_policy defaults to kLru
-  auto lru_store =
-      PipelinedStore::Create(lru_config, lru_device.get()).ValueOrDie();
-  RunSkewedScan(lru_store.get(), 24, hot, capacity, 2 * capacity);
-  const double lru_rate = lru_store->stats_snapshot().HitRate();
-
-  // Same workload, same capacity: the admission filter + pinning must keep
-  // the hot head cached while plain LRU thrashes it on every scan.
-  EXPECT_GT(freq_rate, lru_rate + 0.05)
-      << "freq=" << freq_rate << " lru=" << lru_rate;
-}
-
-TEST_F(FreqPolicyTest, EvictedEntriesStillReadBack) {
-  // Correctness under the new policy: every key keeps its value whether it
-  // was pinned, cached, rejected at admission, or evicted.
-  const size_t capacity = store_->CacheCapacityEntries();
-  const size_t hot = capacity / 4;
-  RunSkewedScan(store_.get(), 8, hot, capacity);
-  EXPECT_EQ(store_->EntryCount(), hot + 8 * capacity);
-  for (EntryId key = 0; key < hot; ++key) {
-    std::vector<float> init(kDim);
-    config_.initializer.Fill(key, init.data(), kDim);
-    auto got = store_->Peek(key).ValueOrDie();
-    for (uint32_t d = 0; d < kDim; ++d) {
-      // 8 pushes of grad 0.1 at lr 0.5.
-      EXPECT_NEAR(got[d], init[d] - 8 * 0.5f * 0.1f, 1e-5) << key;
-    }
-  }
-  const EntryId cold_probe = (1 << 20) + 3;
-  std::vector<float> init(kDim);
-  config_.initializer.Fill(cold_probe, init.data(), kDim);
-  auto got = store_->Peek(cold_probe).ValueOrDie();
-  for (uint32_t d = 0; d < kDim; ++d) {
-    EXPECT_NEAR(got[d], init[d] - 0.5f * 0.1f, 1e-5);
-  }
-}
-
-TEST_F(FreqPolicyTest, RecoveryResetsPinsAndFrequencies) {
-  const size_t capacity = store_->CacheCapacityEntries();
-  RunSkewedScan(store_.get(), 16, capacity / 4, capacity);
-  ASSERT_GT(store_->PinnedEntries(), 0u);
-
-  device_->SimulateCrash();
-  ASSERT_TRUE(store_->RecoverFromCrash().ok());
-  EXPECT_EQ(store_->PinnedEntries(), 0u);
-
-  // Training resumes and re-pins from fresh statistics.
-  RunSkewedScan(store_.get(), 16, capacity / 4, capacity);
-  EXPECT_GT(store_->PinnedEntries(), 0u);
-}
-
-TEST_F(FreqPolicyTest, CheckpointsPublishUnderFreqEviction) {
-  // The checkpoint ack barrier rides on LRU-order == version-order; the
-  // windowed victim scan removes entries mid-list but never reorders, so
-  // publication must still happen under eviction pressure.
-  const size_t capacity = store_->CacheCapacityEntries();
-  RunSkewedScan(store_.get(), 4, capacity / 4, capacity);
-  ASSERT_TRUE(store_->RequestCheckpoint(4).ok());
-  ASSERT_TRUE(store_->DrainCheckpoints().ok());
-  EXPECT_EQ(store_->PublishedCheckpoint(), 4u);
-}
-
 TEST_F(PipelinedStoreTest, CheckpointRequestIsLightweight) {
   std::vector<EntryId> keys = {1, 2, 3};
   RunBatch(1, keys, 0.1f);
@@ -946,56 +823,61 @@ TEST(PipelinedWriteBackTest, VersionGatedFlushCountMatchesAblation) {
 }
 
 // The write-back pass of batch cp + 1 publishes checkpoint cp while that
-// batch's Push runs. Under kFreqAware the keys the admission filter
-// rejects stay PMem-resident, and Push updates their records directly:
-// copy-on-write if the newest published-or-pending checkpoint may need the
-// old record, else in place. A choice that misses the checkpoint being
-// published overwrites a record it needs. Each round warms a hot set that
-// fills the cache, trains it with a cold set in batch cp, and trains only
-// the cold set in batch cp + 1: the admission filter keeps the cold keys
-// in PMem, and the pass has the hot set's flushes to do beside that Push.
-// Then it crashes and compares the recovered model with checkpoint cp.
+// batch's Push runs. Keys the chunk evicted again stay PMem-resident, and
+// Push updates their records directly: copy-on-write if the newest
+// published-or-pending checkpoint may need the old record, else in place.
+// A choice that misses the checkpoint being published overwrites a record
+// it needs. Each round trains a hot set that exactly fills the last
+// shard's cache and a cold set on the other shards that overflows theirs
+// in batch cp. Batch cp + 1 trains the cold set and one hot key: the cold
+// shards evict their batch-cp state in the chunk and acknowledge there,
+// while the last shard keeps dirty batch-cp entries that only the pass
+// flushes, so the pass publishes cp beside Push's cold-key records. Then
+// it crashes and compares the recovered model with checkpoint cp.
 TEST(PipelinedWriteBackTest, PushBesidePublishKeepsCheckpoint) {
   auto device = MakeDevice();
   StoreConfig config = SmallConfig();
-  config.cache_policy = CachePolicy::kFreqAware;
   config.store_shards = 4;
   auto store = PipelinedStore::Create(config, device.get()).ValueOrDie();
-  const size_t hot_keys = 2 * store->CacheCapacityEntries();
-  std::vector<EntryId> all(hot_keys + 1024);
-  std::iota(all.begin(), all.end(), 1);
-  const std::vector<EntryId> hot(all.begin(), all.begin() + hot_keys);
-  const std::vector<EntryId> cold(all.begin() + hot_keys, all.end());
+  const size_t last = store->NumShards() - 1;
+  const size_t hot_count = store->CacheCapacityEntries() / store->NumShards();
+  std::vector<EntryId> hot;
+  std::vector<EntryId> cold;
+  for (EntryId key = 1; hot.size() < hot_count || cold.size() < 1024; ++key) {
+    if (store->ShardOfKey(key) == last) {
+      if (hot.size() < hot_count) hot.push_back(key);
+    } else if (cold.size() < 1024) {
+      cold.push_back(key);
+    }
+  }
+  std::vector<EntryId> all = cold;
+  all.insert(all.end(), hot.begin(), hot.end());
+  std::vector<EntryId> next = cold;
+  next.push_back(hot.front());
   std::vector<float> scratch(all.size() * kDim);
   std::vector<float> grads(all.size() * kDim, 0.125f);
-  auto run_batch = [&](uint64_t batch, const std::vector<EntryId>& keys) {
-    ASSERT_TRUE(
-        store->Pull(keys.data(), keys.size(), batch, scratch.data()).ok());
-    store->FinishPullPhase(batch);
-    ASSERT_TRUE(
-        store->Push(keys.data(), keys.size(), grads.data(), batch).ok());
-  };
-  const uint64_t rejects_before = store->stats().admission_rejects.load();
   uint64_t batch = 1;
   for (int round = 0; round < 24; ++round) {
-    for (int warm = 0; warm < 3; ++warm) run_batch(batch++, hot);
-    const uint64_t cp = batch++;
-    run_batch(cp, all);
+    const uint64_t cp = batch;
+    batch += 2;
+    ASSERT_TRUE(store->Pull(all.data(), all.size(), cp, scratch.data()).ok());
+    store->FinishPullPhase(cp);
+    ASSERT_TRUE(store->Push(all.data(), all.size(), grads.data(), cp).ok());
     std::vector<std::vector<float>> want;
     for (EntryId key : all) want.push_back(store->Peek(key).ValueOrDie());
     ASSERT_TRUE(store->RequestCheckpoint(cp).ok());
-    std::vector<float> out(cold.size() * kDim);
-    ASSERT_TRUE(store->Pull(cold.data(), cold.size(), cp + 1, out.data()).ok());
-    store->FinishPullPhase(cp + 1);
-    store->WaitMaintenance(cp + 1);
-    // Let the pass take the first shard's write lock before Push does; it
-    // then stays a shard ahead, and the last ack publishes while Push is
-    // still updating records.
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
     ASSERT_TRUE(
-        store->Push(cold.data(), cold.size(), grads.data(), cp + 1).ok());
+        store->Pull(next.data(), next.size(), cp + 1, scratch.data()).ok());
+    store->FinishPullPhase(cp + 1);
+    ASSERT_TRUE(
+        store->Push(next.data(), next.size(), grads.data(), cp + 1).ok());
     store->WaitIdle();
     ASSERT_EQ(store->PublishedCheckpoint(), cp);
+    // Residency of the cold shards has not changed since their chunk: the
+    // keys not cached now were PMem-resident when Push applied them.
+    size_t pmem_resident = 0;
+    for (EntryId key : cold) pmem_resident += !store->IsDramCached(key);
+    ASSERT_GT(pmem_resident, 0u);
     device->SimulateCrash();
     ASSERT_TRUE(store->RecoverFromCrash().ok());
     ASSERT_EQ(store->PublishedCheckpoint(), cp);
@@ -1006,7 +888,6 @@ TEST(PipelinedWriteBackTest, PushBesidePublishKeepsCheckpoint) {
           << "checkpoint " << cp << " key " << all[i];
     }
   }
-  EXPECT_GT(store->stats().admission_rejects.load(), rejects_before);
 }
 
 // Every path that destroys cached entries must unlink them from the shard's
@@ -1087,7 +968,7 @@ TEST_F(DirtyListLifetimeTest, RemoveKeys) {
 TEST_F(DirtyListLifetimeTest, PurgeSlots) {
   const auto keys = Range(1, 60);
   LeaveDirty(store_.get(), keys);
-  ASSERT_TRUE(store_->PurgeSlots(SlotsOf(Range(1, 30)), {}).ok());
+  ASSERT_TRUE(store_->PurgeSlots(SlotsOf(Range(1, 30))).ok());
   std::vector<EntryId> kept;
   for (EntryId key : keys) {
     if (store_->Peek(key).ok()) kept.push_back(key);
@@ -1109,7 +990,7 @@ TEST_F(DirtyListLifetimeTest, ImportRange) {
   auto log = ckpt::CheckpointLog::Create(log_device.get(),
                                          EntryLayout(kDim, 0))
                  .ValueOrDie();
-  ASSERT_TRUE(source->ExportRange(SlotsOf(moved), {}, log.get()).ok());
+  ASSERT_TRUE(source->ExportRange(SlotsOf(moved), log.get()).ok());
 
   const auto local = Range(1, 40);
   LeaveDirty(store_.get(), local);
