@@ -40,6 +40,15 @@ class Writer {
     out_->insert(out_->end(), p, p + n);
   }
 
+  /// Appends `n` zero bytes and returns where they start, so an encoder can
+  /// gather or produce a span in place instead of staging it elsewhere. The
+  /// pointer is valid until the buffer next grows.
+  uint8_t* Extend(size_t n) {
+    const size_t old_size = out_->size();
+    out_->resize(old_size + n);
+    return out_->data() + old_size;
+  }
+
  private:
   Buffer* out_;
 };
@@ -56,27 +65,31 @@ class Reader {
   Status GetU64(uint64_t* v) { return GetRaw(v, sizeof(*v)); }
   Status GetFloat(float* v) { return GetRaw(v, sizeof(*v)); }
 
+  /// A length-prefixed span left in place: `count` elements of the
+  /// requested size starting at `data`, which has no alignment guarantee.
+  struct SpanView {
+    const uint8_t* data = nullptr;
+    size_t count = 0;
+  };
+
   // Span getters validate the claimed length against the remaining bytes
-  // BEFORE allocating: a hostile or corrupt length field must not be able
-  // to trigger a giant allocation.
-  Status GetU64Span(std::vector<uint64_t>* out) {
+  // BEFORE reading or allocating: a hostile or corrupt length field must
+  // not be able to trigger a giant allocation. A rejected span consumes
+  // nothing.
+  Status GetSpanView(size_t elem_size, SpanView* view) {
     uint32_t n = 0;
-    OE_RETURN_IF_ERROR(GetU32(&n));
-    if (static_cast<size_t>(n) * sizeof(uint64_t) > remaining()) {
+    if (remaining() < sizeof(n)) return Status::Corruption("message truncated");
+    std::memcpy(&n, data_ + pos_, sizeof(n));
+    if (static_cast<size_t>(n) * elem_size > remaining() - sizeof(n)) {
       return Status::Corruption("span length exceeds message");
     }
-    out->resize(n);
-    return GetRaw(out->data(), n * sizeof(uint64_t));
+    view->data = data_ + pos_ + sizeof(n);
+    view->count = n;
+    pos_ += sizeof(n) + static_cast<size_t>(n) * elem_size;
+    return Status::OK();
   }
-  Status GetFloatSpan(std::vector<float>* out) {
-    uint32_t n = 0;
-    OE_RETURN_IF_ERROR(GetU32(&n));
-    if (static_cast<size_t>(n) * sizeof(float) > remaining()) {
-      return Status::Corruption("span length exceeds message");
-    }
-    out->resize(n);
-    return GetRaw(out->data(), n * sizeof(float));
-  }
+  Status GetU64Span(std::vector<uint64_t>* out) { return GetSpan(out); }
+  Status GetFloatSpan(std::vector<float>* out) { return GetSpan(out); }
   Status GetString(std::string* out) {
     uint32_t n = 0;
     OE_RETURN_IF_ERROR(GetU32(&n));
@@ -99,6 +112,17 @@ class Reader {
   size_t remaining() const { return size_ - pos_; }
 
  private:
+  template <typename T>
+  Status GetSpan(std::vector<T>* out) {
+    SpanView view;
+    OE_RETURN_IF_ERROR(GetSpanView(sizeof(T), &view));
+    out->resize(view.count);
+    if (view.count != 0) {
+      std::memcpy(out->data(), view.data, view.count * sizeof(T));
+    }
+    return Status::OK();
+  }
+
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;

@@ -3,12 +3,39 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <thread>
 
 #include "common/clock.h"
 #include "obs/trace.h"
 
 namespace oe::net {
+
+namespace {
+
+/// One call submitted through the base CallAsync. Its pool task and, inside
+/// a ParallelCall, the calling thread share it; whoever claims it first
+/// runs the call and its completion, and the other touches nothing else.
+struct AsyncCall {
+  Transport* transport;
+  NodeId node;
+  uint32_t method;
+  const Buffer* request;
+  Buffer* response;
+  std::function<void(Status)> done;
+  std::atomic<bool> claimed{false};
+
+  void RunIfUnclaimed() {
+    if (claimed.exchange(true, std::memory_order_acq_rel)) return;
+    done(transport->Call(node, method, *request, response));
+  }
+};
+
+/// Non-null while this thread's ParallelCall submits its calls: the base
+/// CallAsync lists each call it queues here.
+thread_local std::vector<std::shared_ptr<AsyncCall>>* t_claimable = nullptr;
+
+}  // namespace
 
 void NetStats::ExportTo(obs::MetricsRegistry* registry,
                         const obs::Labels& labels) const {
@@ -101,12 +128,15 @@ Status Transport::CallWithRetries(NodeId node, uint32_t method,
   }
 }
 
+int Transport::FanOutPoolThreads() {
+  return static_cast<int>(
+      std::max(8u, 2 * std::thread::hardware_concurrency()));
+}
+
 ThreadPool* Transport::pool() {
   std::lock_guard<std::mutex> lock(pool_mutex_);
   if (pool_ == nullptr) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<int>(std::max(8u, 2 * hw)));
+    pool_ = std::make_unique<ThreadPool>(FanOutPoolThreads());
   }
   return pool_.get();
 }
@@ -114,11 +144,15 @@ ThreadPool* Transport::pool() {
 void Transport::CallAsync(NodeId node, uint32_t method, const Buffer& request,
                           Buffer* response,
                           std::function<void(Status)> done) {
-  const Buffer* req = &request;
-  pool()->Submit([this, node, method, req, response,
-                  done = std::move(done)] {
-    done(Call(node, method, *req, response));
-  });
+  auto call = std::make_shared<AsyncCall>();
+  call->transport = this;
+  call->node = node;
+  call->method = method;
+  call->request = &request;
+  call->response = response;
+  call->done = std::move(done);
+  if (t_claimable != nullptr) t_claimable->push_back(call);
+  pool()->Submit([call = std::move(call)] { call->RunIfUnclaimed(); });
 }
 
 Status Transport::ParallelCall(RpcCall* calls, size_t n) {
@@ -137,6 +171,14 @@ Status Transport::ParallelCall(RpcCall* calls, size_t n) {
   std::mutex mutex;
   std::condition_variable cv;
   size_t outstanding = n - 1;
+  // Every call is still submitted through the virtual CallAsync; the base
+  // implementation lists the calls it queues, so that after calls[0] this
+  // thread can serve any call no pool thread has claimed yet. A fan-out
+  // therefore finishes even when every pool thread is busy.
+  std::vector<std::shared_ptr<AsyncCall>> claimable;
+  claimable.reserve(n - 1);
+  std::vector<std::shared_ptr<AsyncCall>>* const outer = t_claimable;
+  t_claimable = &claimable;
   for (size_t i = 1; i < n; ++i) {
     RpcCall* call = &calls[i];
     CallAsync(call->node, call->method, request_of(*call), call->response,
@@ -146,8 +188,12 @@ Status Transport::ParallelCall(RpcCall* calls, size_t n) {
                 if (--outstanding == 0) cv.notify_one();
               });
   }
+  t_claimable = outer;
   calls[0].status = Call(calls[0].node, calls[0].method, request_of(calls[0]),
                          calls[0].response);
+  for (const std::shared_ptr<AsyncCall>& call : claimable) {
+    call->RunIfUnclaimed();
+  }
   {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return outstanding == 0; });

@@ -149,7 +149,8 @@ class Transport {
   /// all outstanding completions must have run before the transport is
   /// destroyed (ParallelCall guarantees both). The default implementation
   /// dispatches the blocking Call() onto a lazily started internal thread
-  /// pool; `done` then runs on a pool thread.
+  /// pool; `done` then runs on a pool thread, or on the thread of a
+  /// ParallelCall that claimed the call before any pool thread started it.
   virtual void CallAsync(NodeId node, uint32_t method, const Buffer& request,
                          Buffer* response, std::function<void(Status)> done);
 
@@ -160,13 +161,19 @@ class Transport {
   /// failing node ("node 1: ...; node 3: ..."), so multi-node fault
   /// schedules are debuggable from a single Status. The calling thread
   /// serves calls[0] itself, so a single-call fan-out pays no thread
-  /// handoff.
+  /// handoff. calls[1..n) go through CallAsync; afterwards the calling
+  /// thread claims and runs every one whose pool task has not started
+  /// (each call has one claim, taken once), so a fan-out never waits on a
+  /// busy pool. Returns only after every call has finished.
   Status ParallelCall(RpcCall* calls, size_t n);
   Status ParallelCall(std::vector<RpcCall>* calls) {
     return ParallelCall(calls->data(), calls->size());
   }
 
   const NetStats& stats() const { return stats_; }
+
+  /// Threads of the fan-out pool every CallAsync shares: max(8, 2 x cores).
+  static int FanOutPoolThreads();
 
  protected:
   /// Blocks until every outstanding CallAsync completion has run, by

@@ -66,6 +66,12 @@ struct DeviceStats {
     read_bytes.fetch_add(bytes, std::memory_order_relaxed);
     read_ops.fetch_add(ops, std::memory_order_relaxed);
   }
+  /// The write twin of AddReadBatch.
+  void AddWriteBatch(uint64_t ops, uint64_t bytes) {
+    if (ops == 0) return;
+    write_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    write_ops.fetch_add(ops, std::memory_order_relaxed);
+  }
   void AddPersist() { persist_ops.fetch_add(1, std::memory_order_relaxed); }
 
   void Reset() {

@@ -39,28 +39,45 @@ Status FirstHardError(const std::vector<RpcCall>& calls) {
   return Status::OK();
 }
 
-/// Writes the key span of a keyed request: the count, then keys[i] for
-/// every i in `pos`.
+/// Request bytes that do not scale with the key count: the RpcHeader, a
+/// batch id and up to two span counts. RoutedFanOut reserves this plus
+/// `bytes_per_key` per key, so a request is allocated once.
+constexpr size_t kRequestFixedBytes = 3 * sizeof(uint64_t) +
+                                      sizeof(uint64_t) + 2 * sizeof(uint32_t);
+
+/// Appends a span of one row per position, row j gathered from row pos[j]
+/// of `rows` (rows of `row_elems` elements, `row_bytes` bytes each): the
+/// element count, then the rows, written in place.
+void PutRows(Writer* writer, const void* rows, size_t row_bytes,
+             size_t row_elems, const std::vector<size_t>& pos) {
+  writer->PutU32(static_cast<uint32_t>(pos.size() * row_elems));
+  uint8_t* dst = writer->Extend(pos.size() * row_bytes);
+  const auto* base = static_cast<const uint8_t*>(rows);
+  for (size_t j = 0; j < pos.size(); ++j) {
+    std::memcpy(dst + j * row_bytes, base + pos[j] * row_bytes, row_bytes);
+  }
+}
+
+/// Writes the key span of a keyed request: keys[i] for every i in `pos`.
 void PutKeys(Writer* writer, const storage::EntryId* keys,
              const std::vector<size_t>& pos) {
-  writer->PutU32(static_cast<uint32_t>(pos.size()));
-  for (size_t i : pos) writer->PutRaw(&keys[i], sizeof(keys[i]));
+  PutRows(writer, keys, sizeof(storage::EntryId), 1, pos);
 }
 
 /// Reads a float span holding one row of `dim` weights per position and
-/// copies row j to row pos[j] of `out` (shape check only when `out` is
-/// null).
+/// copies row j from the response straight to row pos[j] of `out` (shape
+/// check only when `out` is null).
 Status GetRows(Reader* reader, const std::vector<size_t>& pos, uint32_t dim,
                float* out) {
-  std::vector<float> weights;
-  OE_RETURN_IF_ERROR(reader->GetFloatSpan(&weights));
-  if (weights.size() != pos.size() * dim) {
+  Reader::SpanView rows;
+  OE_RETURN_IF_ERROR(reader->GetSpanView(sizeof(float), &rows));
+  if (rows.count != pos.size() * dim) {
     return Status::Corruption("response rows do not match the request keys");
   }
   if (out == nullptr) return Status::OK();
+  const size_t row_bytes = dim * sizeof(float);
   for (size_t j = 0; j < pos.size(); ++j) {
-    std::memcpy(out + pos[j] * dim, weights.data() + j * dim,
-                dim * sizeof(float));
+    std::memcpy(out + pos[j] * dim, rows.data + j * row_bytes, row_bytes);
   }
   return Status::OK();
 }
@@ -122,8 +139,9 @@ void PsClient::RefreshRoute() {
 
 template <typename RouteFn, typename EncodeFn, typename AcceptFn>
 Status PsClient::RoutedFanOut(const char* op, PsMethod method,
-                              int max_attempts, RouteFn route,
-                              EncodeFn encode, AcceptFn accept) {
+                              int max_attempts, size_t bytes_per_key,
+                              RouteFn route, EncodeFn encode,
+                              AcceptFn accept) {
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
       net::BackoffSleep(transport_->rpc_options(), attempt - 1);
@@ -144,6 +162,9 @@ Status PsClient::RoutedFanOut(const char* op, PsMethod method,
     const uint64_t seq = IsMutatingMethod(method) ? NextSeq() : 0;
     for (uint32_t node = 0; node < num_nodes; ++node) {
       if (round.positions[node].empty()) continue;
+      round.requests[node].reserve(kRequestFixedBytes +
+                                   round.positions[node].size() *
+                                       bytes_per_key);
       Writer writer(&round.requests[node]);
       PutHeader(&writer, client_id_, seq, round.router.epoch());
       encode(&writer, round.positions[node]);
@@ -166,7 +187,8 @@ Status PsClient::Pull(const storage::EntryId* keys, size_t n, uint64_t batch,
                       float* out) {
   if (n == 0) return Status::OK();
   return RoutedFanOut(
-      "pull", PsMethod::kPull, kMaxRouteAttempts, RouteByOwner(keys, n),
+      "pull", PsMethod::kPull, kMaxRouteAttempts, sizeof(storage::EntryId),
+      RouteByOwner(keys, n),
       [&](Writer* writer, const std::vector<size_t>& pos) {
         writer->PutU64(batch);
         PutKeys(writer, keys, pos);
@@ -194,6 +216,7 @@ Status PsClient::Push(const storage::EntryId* keys, size_t n,
   for (size_t i = 0; i < n; ++i) pending[i] = i;
   return RoutedFanOut(
       "push", PsMethod::kPush, kMaxRouteAttempts,
+      sizeof(storage::EntryId) + dim_ * sizeof(float),
       [&](const Router& router, Positions* positions) {
         for (size_t pos : pending) {
           (*positions)[router.NodeFor(keys[pos])].push_back(pos);
@@ -202,10 +225,7 @@ Status PsClient::Push(const storage::EntryId* keys, size_t n,
       [&](Writer* writer, const std::vector<size_t>& pos) {
         writer->PutU64(batch);
         PutKeys(writer, keys, pos);
-        writer->PutU32(static_cast<uint32_t>(pos.size() * dim_));
-        for (size_t i : pos) {
-          writer->PutRaw(grads + i * dim_, dim_ * sizeof(float));
-        }
+        PutRows(writer, grads, dim_ * sizeof(float), dim_, pos);
       },
       // Drop acknowledged positions; only nodes that rejected with
       // kWrongOwner (applied nothing) are re-routed.
@@ -228,7 +248,7 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
   if (n == 0) return Status::OK();
   return RoutedFanOut(
       "multi-get", PsMethod::kMultiGet, kMaxMultiGetAttempts,
-      RouteByOwner(keys, n),
+      sizeof(storage::EntryId), RouteByOwner(keys, n),
       [&](Writer* writer, const std::vector<size_t>& pos) {
         PutKeys(writer, keys, pos);
       },
@@ -256,7 +276,7 @@ Status PsClient::MultiGet(const storage::EntryId* keys, size_t n, float* out,
 Result<std::vector<float>> PsClient::Peek(storage::EntryId key) {
   std::vector<float> weights;
   OE_RETURN_IF_ERROR(RoutedFanOut(
-      "peek", PsMethod::kPeek, kMaxRouteAttempts, RouteByOwner(&key, 1),
+      "peek", PsMethod::kPeek, kMaxRouteAttempts, 0, RouteByOwner(&key, 1),
       [&](Writer* writer, const std::vector<size_t>&) { writer->PutU64(key); },
       [&](const Round& round, const Status& fan_out) -> Result<bool> {
         if (!fan_out.ok()) return false;  // kWrongOwner only: re-route

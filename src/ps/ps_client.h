@@ -123,10 +123,12 @@ class PsClient {
   /// sends each node that serves any its `method` request (header, then
   /// `encode(&writer, node_positions)`) in one ParallelCall, surfaces a
   /// hard failure, and lets `accept(round, fan_out)` decode and say whether
-  /// `op` finished (false re-routes).
+  /// `op` finished (false re-routes). Each request is reserved once, for
+  /// `bytes_per_key` bytes per key plus the fixed fields.
   template <typename RouteFn, typename EncodeFn, typename AcceptFn>
   Status RoutedFanOut(const char* op, PsMethod method, int max_attempts,
-                      RouteFn route, EncodeFn encode, AcceptFn accept);
+                      size_t bytes_per_key, RouteFn route, EncodeFn encode,
+                      AcceptFn accept);
 
   /// Sends `method` (header, then `batch` when given; a fresh seq when
   /// mutating) to every active node — of the directory's current table

@@ -1,5 +1,7 @@
 #include "ps/ps_service.h"
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -61,11 +63,11 @@ obs::Distribution* PsService::HandleLatencyFor(uint32_t method) {
   return dist;
 }
 
-Status PsService::Handle(uint32_t method, const net::Buffer& request,
-                         net::Buffer* response) {
+Status PsService::Handle(uint32_t method, const uint8_t* request,
+                         size_t size, net::Buffer* response) {
   obs::ScopedSpan span("ps", PsMethodName(method));
   const Nanos handle_start = WallNowNanos();
-  Reader reader(request);
+  Reader reader(request, size);
   RpcHeader header;
   OE_RETURN_IF_ERROR(reader.GetU64(&header.client_id));
   OE_RETURN_IF_ERROR(reader.GetU64(&header.seq));
@@ -224,13 +226,19 @@ Status PsService::HandlePull(Reader* reader, net::Buffer* response,
   std::shared_lock<std::shared_mutex> route_lock(route_mutex_);
   OE_RETURN_IF_ERROR(
       CheckOwnership(keys.data(), keys.size(), /*check_seal=*/true, header));
-  const uint32_t dim = store_->config().dim;
-  std::vector<float> weights(keys.size() * dim);
-  OE_RETURN_IF_ERROR(
-      store_->Pull(keys.data(), keys.size(), batch, weights.data()));
+  // The store copies the weights straight into the reply's float span. The
+  // reply is cleared first, so the span starts 4 bytes into the buffer's
+  // allocation: float-aligned.
+  const size_t count = keys.size() * store_->config().dim;
+  response->clear();
+  response->reserve(sizeof(uint32_t) + count * sizeof(float));
   Writer writer(response);
-  writer.PutFloatSpan(weights.data(), weights.size());
-  return Status::OK();
+  writer.PutU32(static_cast<uint32_t>(count));
+  float* weights =
+      reinterpret_cast<float*>(writer.Extend(count * sizeof(float)));
+  Status status = store_->Pull(keys.data(), keys.size(), batch, weights);
+  if (!status.ok()) response->clear();  // an error reply carries no payload
+  return status;
 }
 
 Status PsService::HandlePush(Reader* reader, const RpcHeader& header) {
@@ -238,10 +246,20 @@ Status PsService::HandlePush(Reader* reader, const RpcHeader& header) {
   OE_RETURN_IF_ERROR(reader->GetU64(&batch));
   std::vector<uint64_t> keys;
   OE_RETURN_IF_ERROR(reader->GetU64Span(&keys));
-  std::vector<float> grads;
-  OE_RETURN_IF_ERROR(reader->GetFloatSpan(&grads));
-  if (grads.size() != keys.size() * store_->config().dim) {
+  Reader::SpanView span;
+  OE_RETURN_IF_ERROR(reader->GetSpanView(sizeof(float), &span));
+  if (span.count != keys.size() * store_->config().dim) {
     return Status::InvalidArgument("gradient span size mismatch");
+  }
+  // Gradients are applied from the request bytes; only a span that is not
+  // float-aligned (a request decoded from an arbitrary byte range) is
+  // copied first.
+  std::vector<float> copy;
+  const float* grads = reinterpret_cast<const float*>(span.data);
+  if (reinterpret_cast<uintptr_t>(span.data) % alignof(float) != 0) {
+    copy.resize(span.count);
+    std::memcpy(copy.data(), span.data, span.count * sizeof(float));
+    grads = copy.data();
   }
   // The wholesale check before any store access is what makes the client's
   // re-route safe: a kWrongOwner push applied *none* of its gradients, so
@@ -249,7 +267,7 @@ Status PsService::HandlePush(Reader* reader, const RpcHeader& header) {
   std::shared_lock<std::shared_mutex> route_lock(route_mutex_);
   OE_RETURN_IF_ERROR(
       CheckOwnership(keys.data(), keys.size(), /*check_seal=*/true, header));
-  return store_->Push(keys.data(), keys.size(), grads.data(), batch);
+  return store_->Push(keys.data(), keys.size(), grads, batch);
 }
 
 Status PsService::HandleMultiGet(Reader* reader, net::Buffer* response,

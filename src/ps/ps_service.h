@@ -95,6 +95,13 @@ class PsService {
   /// net::RpcHandler-compatible entry point. Every request must begin with
   /// an RpcHeader; a request too short to carry one is rejected.
   Status Handle(uint32_t method, const net::Buffer& request,
+                net::Buffer* response) {
+    return Handle(method, request.data(), request.size(), response);
+  }
+  /// The same over `size` request bytes at `request`, decoded in place.
+  /// The bytes need no alignment: a push whose gradient span is not
+  /// float-aligned is copied once before it is applied.
+  Status Handle(uint32_t method, const uint8_t* request, size_t size,
                 net::Buffer* response);
 
   /// Convenience: a handler bound to this service.

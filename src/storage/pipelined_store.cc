@@ -18,6 +18,51 @@ constexpr uint32_t kEvictWindow = 8;
 
 }  // namespace
 
+class PipelinedStore::CallCounters {
+ public:
+  explicit CallCounters(PipelinedStore* store) : store_(store) {}
+  ~CallCounters() {
+    if (hits_ != 0) {
+      store_->stats_.cache_hits.fetch_add(hits_, std::memory_order_relaxed);
+    }
+    if (misses_ != 0) {
+      store_->stats_.cache_misses.fetch_add(misses_,
+                                            std::memory_order_relaxed);
+    }
+    store_->dram_stats_.AddReadBatch(reads_, read_bytes_);
+    store_->dram_stats_.AddWriteBatch(writes_, write_bytes_);
+  }
+  CallCounters(const CallCounters&) = delete;
+  CallCounters& operator=(const CallCounters&) = delete;
+
+  /// One CopyWeights: a hit read `bytes` from a DRAM cache entry.
+  void Copied(bool hit, uint64_t bytes) {
+    if (hit) {
+      ++hits_;
+      DramRead(bytes);
+    } else {
+      ++misses_;
+    }
+  }
+  void DramRead(uint64_t bytes) {
+    ++reads_;
+    read_bytes_ += bytes;
+  }
+  void DramWrite(uint64_t bytes) {
+    ++writes_;
+    write_bytes_ += bytes;
+  }
+
+ private:
+  PipelinedStore* store_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t reads_ = 0;
+  uint64_t read_bytes_ = 0;
+  uint64_t writes_ = 0;
+  uint64_t write_bytes_ = 0;
+};
+
 size_t PipelinedStore::ShardCount(const StoreConfig& config) {
   return static_cast<size_t>(std::max(1, config.store_shards));
 }
@@ -188,7 +233,7 @@ Status PipelinedStore::ForEachShardRead(const EntryId* keys, size_t n,
   return Status::OK();
 }
 
-void PipelinedStore::CopyWeights(EntryId key,
+bool PipelinedStore::CopyWeights(EntryId key,
                                  const cache::AtomicTaggedPtr& slot,
                                  float* out) {
   // Copy under the key's push stripe: lookahead-prefetch fills pull
@@ -204,19 +249,17 @@ void PipelinedStore::CopyWeights(EntryId key,
   SpinLock& stripe = push_locks_[key % kPushShards];
   stripe.lock();
   const TaggedPtr ptr = slot.load();
-  if (ptr.is_dram()) {
+  const bool hit = ptr.is_dram();
+  if (hit) {
     std::memcpy(out, ptr.dram<CacheEntry>()->data(), weight_bytes);
-    stripe.unlock();
-    dram_stats_.AddRead(weight_bytes);
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
   } else {
     // Copy the weights straight from the PMem record (Algorithm 1: "copied
     // from either DRAM or PMem to the network buffer").
     device_->Read(ptr.pmem_offset() + EntryLayout::kHeaderBytes, out,
                   weight_bytes);
-    stripe.unlock();
-    stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
+  stripe.unlock();
+  return hit;
 }
 
 void PipelinedStore::CacheEntryDeleter::operator()(CacheEntry* entry) const {
@@ -248,7 +291,6 @@ PipelinedStore::CacheEntry* PipelinedStore::CacheEntryLocked(
     std::memcpy(entry->data(), EntryLayout::RecordData(record.data()),
                 layout_.data_bytes());
   }
-  dram_stats_.AddWrite(layout_.data_bytes());
   CacheEntry* raw = entry.get();
   sh.index.Upsert(key, TaggedPtr::FromDram(raw));
   sh.cache_entries[key] = std::move(entry);
@@ -263,6 +305,8 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
   const Nanos pull_start = WallNowNanos();
   obs::ScopedSpan span("store", "pull");
   const size_t dim = config_.dim;
+  const size_t weight_bytes = dim * sizeof(float);
+  CallCounters counters(this);
   // Positions of keys absent from their shard's index, grouped by shard
   // (the probe visits shards in order).
   std::vector<size_t> missing;
@@ -278,7 +322,8 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
             missing.push_back(i);
             continue;
           }
-          CopyWeights(keys[i], *slots[k], out + i * dim);
+          counters.Copied(CopyWeights(keys[i], *slots[k], out + i * dim),
+                          weight_bytes);
           present.push_back(keys[i]);
         }
         // Stage the accessed keys before the shard lock is released: a
@@ -310,11 +355,13 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
       if (slot != nullptr) {
         // Raced with another puller (or a duplicate earlier in this batch)
         // that created it; serve and count it like the read-locked pass.
-        CopyWeights(key, *slot, out + i * dim);
+        counters.Copied(CopyWeights(key, *slot, out + i * dim),
+                        weight_bytes);
       } else if (config_.cache_enabled) {
         CacheEntry* entry = CacheEntryLocked(s, key, batch, kNullOffset);
-        std::memcpy(out + i * dim, entry->data(), dim * sizeof(float));
-        dram_stats_.AddRead(dim * sizeof(float));
+        counters.DramWrite(layout_.data_bytes());
+        std::memcpy(out + i * dim, entry->data(), weight_bytes);
+        counters.DramRead(weight_bytes);
       } else {
         // Cache-disabled mode: create the record directly in PMem.
         std::vector<float> data(layout_.values_per_entry(), 0.0f);
@@ -486,6 +533,7 @@ void PipelinedStore::ProcessChunkLocked(size_t shard, uint64_t batch,
       }
     } else {
       CacheEntryLocked(shard, key, batch, ptr.pmem_offset());
+      dram_stats_.AddWrite(layout_.data_bytes());
       EvictIfNeededLocked(shard);
     }
   }
@@ -596,6 +644,7 @@ Status PipelinedStore::Push(const EntryId* keys, size_t n, const float* grads,
   if (n == 0) return Status::OK();
 
   const size_t dim = config_.dim;
+  CallCounters counters(this);
   OE_RETURN_IF_ERROR(ForEachShardRead(
       keys, n,
       [&](size_t s, const size_t* pos, cache::AtomicTaggedPtr* const* slots,
@@ -619,8 +668,8 @@ Status PipelinedStore::Push(const EntryId* keys, size_t n, const float* grads,
                                     grads + i * dim, dim, batch);
             entry->version = batch;
             MarkDirty(shards_[s], entry);
-            dram_stats_.AddWrite(layout_.data_bytes());
             stripe.unlock();
+            counters.DramWrite(layout_.data_bytes());
           } else {
             Status status = PushPmemRecord(s, slots[k], ptr.pmem_offset(),
                                            grads + i * dim, batch);

@@ -359,9 +359,15 @@ class PipelinedStore final : public EmbeddingStore {
   template <typename Fn>
   Status ForEachShardRead(const EntryId* keys, size_t n, Fn&& fn);
 
+  /// The per-key counters of one Pull or Push call, tallied in locals and
+  /// added to stats_ and dram_stats_ once, when the call returns on any
+  /// path.
+  class CallCounters;
+
   /// Copies `key`'s weights from the record `slot` points at into `out`
-  /// under the key's push stripe. Requires the shard's (read) lock.
-  void CopyWeights(EntryId key, const cache::AtomicTaggedPtr& slot,
+  /// under the key's push stripe and returns true for a DRAM cache hit.
+  /// Requires the shard's (read) lock.
+  bool CopyWeights(EntryId key, const cache::AtomicTaggedPtr& slot,
                    float* out);
 
   /// Sums fn(shard) over the shards, each under its read lock.
@@ -416,6 +422,7 @@ class PipelinedStore final : public EmbeddingStore {
   // --- All *Locked methods require the write lock of shards_[shard]. ---
   /// Caches `key` at version `batch`: loaded from the record at
   /// `record_offset` and LRU-linked, or (kNullOffset) a first-touch entry.
+  /// The caller counts the entry's DRAM write.
   CacheEntry* CacheEntryLocked(size_t shard, EntryId key, uint64_t batch,
                                uint64_t record_offset);
   void ProcessChunkLocked(size_t shard, uint64_t batch,

@@ -2,7 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
+#include <future>
+#include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/message.h"
@@ -53,6 +58,48 @@ TEST(MessageTest, TruncatedInputRejected) {
   Reader reader(buffer);
   std::vector<uint64_t> out;
   EXPECT_FALSE(reader.GetU64Span(&out).ok());
+}
+
+TEST(MessageTest, SpanViewRejectsHostileLength) {
+  Buffer buffer;
+  Writer writer(&buffer);
+  writer.PutU32(3);  // claims 3 floats (12 bytes) where only 8 follow
+  writer.PutFloat(1.0f);
+  writer.PutFloat(2.0f);
+  Reader reader(buffer);
+  Reader::SpanView view;
+  const Status status = reader.GetSpanView(sizeof(float), &view);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  // Nothing was read: the view is untouched and no byte was consumed.
+  EXPECT_EQ(view.data, nullptr);
+  EXPECT_EQ(view.count, 0u);
+  EXPECT_EQ(reader.remaining(), buffer.size());
+  // A count whose byte length overflows 32 bits is rejected the same way.
+  Buffer huge;
+  Writer(&huge).PutU32(0xFFFFFFFFu);
+  Reader huge_reader(huge);
+  EXPECT_EQ(huge_reader.GetSpanView(sizeof(uint64_t), &view).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(huge_reader.remaining(), huge.size());
+}
+
+TEST(MessageTest, SpanViewPointsIntoTheMessage) {
+  Buffer buffer;
+  Writer writer(&buffer);
+  const std::vector<float> floats = {0.25f, -1.5f, 3.0f};
+  writer.PutFloatSpan(floats.data(), floats.size());
+  writer.PutU32(9);
+  Reader reader(buffer);
+  Reader::SpanView view;
+  ASSERT_TRUE(reader.GetSpanView(sizeof(float), &view).ok());
+  EXPECT_EQ(view.data, buffer.data() + sizeof(uint32_t));
+  ASSERT_EQ(view.count, floats.size());
+  std::vector<float> copied(view.count);
+  std::memcpy(copied.data(), view.data, view.count * sizeof(float));
+  EXPECT_EQ(copied, floats);
+  uint32_t tail = 0;
+  ASSERT_TRUE(reader.GetU32(&tail).ok());
+  EXPECT_EQ(tail, 9u);
 }
 
 TEST(MessageTest, EmptyReader) {
@@ -186,6 +233,147 @@ TEST(ParallelCallTest, CallsActuallyOverlap) {
   }
   ASSERT_TRUE(transport.ParallelCall(&calls).ok());
   EXPECT_GT(max_in_flight.load(), 1);
+}
+
+/// A transport that serves registered handlers in process and counts
+/// every CallAsync submission before handing it to the base class.
+class CountingTransport final : public Transport {
+ public:
+  ~CountingTransport() override { ShutdownCallAsync(); }
+
+  void RegisterNode(NodeId node, RpcHandler handler) {
+    handlers_[node] = std::move(handler);
+  }
+
+  Status CallOnce(NodeId node, uint32_t method, const Buffer& request,
+                  Buffer* response) override {
+    response->clear();
+    return handlers_.at(node)(method, request, response);
+  }
+
+  void CallAsync(NodeId node, uint32_t method, const Buffer& request,
+                 Buffer* response, std::function<void(Status)> done) override {
+    submissions.fetch_add(1);
+    Transport::CallAsync(node, method, request, response, std::move(done));
+  }
+
+  std::atomic<int> submissions{0};
+
+ private:
+  // Written before any traffic, read-only afterwards.
+  std::unordered_map<NodeId, RpcHandler> handlers_;
+};
+
+/// Issues one call to each of `nodes`, all with `request`.
+Status FanOut(Transport* transport, const std::vector<NodeId>& nodes,
+              const Buffer& request, std::vector<Buffer>* responses) {
+  responses->assign(nodes.size(), Buffer());
+  std::vector<RpcCall> calls(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    calls[i] = {nodes[i], 0, &request, &(*responses)[i], Status::OK()};
+  }
+  return transport->ParallelCall(&calls);
+}
+
+TEST(ParallelCallTest, EveryCallIsSubmittedThroughCallAsync) {
+  CountingTransport transport;
+  for (NodeId node = 0; node < 4; ++node) {
+    transport.RegisterNode(node, [node](uint32_t, const Buffer& request,
+                                        Buffer* response) {
+      *response = request;
+      response->push_back(static_cast<uint8_t>(node));
+      return Status::OK();
+    });
+  }
+  constexpr int kFanOuts = 20;
+  const Buffer request = {42};
+  for (int round = 0; round < kFanOuts; ++round) {
+    std::vector<Buffer> responses;
+    ASSERT_TRUE(FanOut(&transport, {0, 1, 2, 3}, request, &responses).ok());
+    for (NodeId node = 0; node < 4; ++node) {
+      EXPECT_EQ(responses[node], Buffer({42, static_cast<uint8_t>(node)}));
+    }
+  }
+  // calls[0] runs inline; the other n - 1 go through the virtual CallAsync
+  // whether a pool thread or the caller ends up serving them.
+  EXPECT_EQ(transport.submissions.load(), kFanOuts * 3);
+}
+
+TEST(ParallelCallTest, CallerServesCallsThePoolHasNotStarted) {
+  // Occupy every fan-out pool thread with a call that waits on a latch.
+  // The pool is the transport's own (max(8, 2 x cores) threads); the test
+  // itself starts one thread.
+  const int pool_threads = Transport::FanOutPoolThreads();
+  CountingTransport transport;
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool latch_open = false;
+  std::atomic<int> blocked{0};
+  constexpr NodeId kBlockingNode = 100;
+  transport.RegisterNode(kBlockingNode, [&](uint32_t, const Buffer&,
+                                            Buffer*) {
+    blocked.fetch_add(1);
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    latch_cv.wait(lock, [&] { return latch_open; });
+    return Status::OK();
+  });
+  std::vector<std::thread::id> served_by(4);
+  for (NodeId node = 0; node < 4; ++node) {
+    transport.RegisterNode(node, [&served_by, node](uint32_t, const Buffer&,
+                                                    Buffer* response) {
+      served_by[node] = std::this_thread::get_id();
+      response->push_back(static_cast<uint8_t>(node));
+      return Status::OK();
+    });
+  }
+  auto open_latch = [&] {
+    std::lock_guard<std::mutex> lock(latch_mutex);
+    latch_open = true;
+    latch_cv.notify_all();
+  };
+
+  const Buffer empty;
+  std::vector<Buffer> blocker_responses(pool_threads);
+  std::atomic<int> blockers_done{0};
+  for (int i = 0; i < pool_threads; ++i) {
+    transport.CallAsync(kBlockingNode, 0, empty, &blocker_responses[i],
+                        [&](Status) { blockers_done.fetch_add(1); });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (blocked.load() < pool_threads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(blocked.load(), pool_threads) << "pool threads never all busy";
+
+  // A 4-node fan-out to other nodes must finish while the latch is closed.
+  std::vector<Buffer> responses;
+  std::promise<Status> result;
+  std::future<Status> finished = result.get_future();
+  std::thread::id caller;
+  std::thread fan_out([&] {
+    caller = std::this_thread::get_id();
+    result.set_value(FanOut(&transport, {0, 1, 2, 3}, empty, &responses));
+  });
+  const bool done_while_latched =
+      finished.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  open_latch();
+  fan_out.join();
+  EXPECT_TRUE(done_while_latched)
+      << "the fan-out waited for a busy pool thread";
+  EXPECT_TRUE(finished.get().ok());
+  for (NodeId node = 0; node < 4; ++node) {
+    EXPECT_EQ(responses[node], Buffer({static_cast<uint8_t>(node)}));
+    if (done_while_latched) {
+      EXPECT_EQ(served_by[node], caller);
+    }
+  }
+  // The caller stole nodes 1-3, yet each was still submitted once.
+  EXPECT_EQ(transport.submissions.load(), pool_threads + 3);
+  while (blockers_done.load() < pool_threads) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 TEST(TcpTest, RoundTripOverLoopback) {

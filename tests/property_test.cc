@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <vector>
@@ -201,6 +203,146 @@ TEST(PsServiceFuzzTest, TruncatedValidRequestsRejectedCleanly) {
                   .Handle(static_cast<uint32_t>(ps::PsMethod::kPull), good,
                           &response)
                   .ok());
+}
+
+/// A push request: RpcHeader (client 7, no dedup), batch, keys, then a
+/// gradient span that claims `grad_count` floats and carries `grads`.
+net::Buffer PushRequest(uint64_t batch, const std::vector<uint64_t>& keys,
+                        uint32_t grad_count, const std::vector<float>& grads) {
+  net::Buffer request;
+  net::Writer writer(&request);
+  writer.PutU64(7);
+  writer.PutU64(0);
+  writer.PutU64(0);
+  writer.PutU64(batch);
+  writer.PutU64Span(keys.data(), keys.size());
+  writer.PutU32(grad_count);
+  writer.PutRaw(grads.data(), grads.size() * sizeof(float));
+  return request;
+}
+
+net::Buffer PullRequest(uint64_t batch, const std::vector<uint64_t>& keys) {
+  net::Buffer request;
+  net::Writer writer(&request);
+  writer.PutU64(7);
+  writer.PutU64(0);
+  writer.PutU64(0);
+  writer.PutU64(batch);
+  writer.PutU64Span(keys.data(), keys.size());
+  return request;
+}
+
+TEST(PsServiceWireTest, PushSpansApplyExactlyOrNotAtAll) {
+  StoreConfig config;
+  config.dim = kDim;
+  auto device = MakeDevice();
+  auto store = PipelinedStore::Create(config, device.get()).ValueOrDie();
+  ps::PsService service(store.get());
+  // The reference store receives the same valid push through its own API.
+  auto ref_device = MakeDevice();
+  auto reference =
+      PipelinedStore::Create(config, ref_device.get()).ValueOrDie();
+
+  const std::vector<uint64_t> keys = {1, 2, 3};
+  const uint32_t want = static_cast<uint32_t>(keys.size() * kDim);
+  net::Buffer response;
+  ASSERT_TRUE(service
+                  .Handle(static_cast<uint32_t>(ps::PsMethod::kPull),
+                          PullRequest(1, keys), &response)
+                  .ok());
+  std::vector<float> scratch(want);
+  ASSERT_TRUE(
+      reference->Pull(keys.data(), keys.size(), 1, scratch.data()).ok());
+  auto peek_all = [&](const storage::EmbeddingStore& s) {
+    std::vector<std::vector<float>> all;
+    for (uint64_t key : keys) all.push_back(s.Peek(key).ValueOrDie());
+    return all;
+  };
+  const auto initial = peek_all(*store);
+
+  std::vector<float> grads(want + 1);
+  for (size_t i = 0; i < grads.size(); ++i) {
+    grads[i] = 0.125f * static_cast<float>(i % 7) - 0.25f;
+  }
+  const std::vector<float> exact(grads.begin(), grads.begin() + want);
+  const std::vector<float> short_grads(grads.begin(), grads.begin() + want - 1);
+  const uint32_t push = static_cast<uint32_t>(ps::PsMethod::kPush);
+
+  // Short, long and truncated gradient spans are rejected whole.
+  EXPECT_EQ(service.Handle(push, PushRequest(1, keys, want - 1, short_grads),
+                           &response)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Handle(push, PushRequest(1, keys, want + 1, grads),
+                           &response)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Handle(push, PushRequest(1, keys, want, short_grads),
+                           &response)
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(peek_all(*store), initial) << "a rejected push applied";
+
+  // A valid push whose bytes start at an odd offset: its gradient span is
+  // not float-aligned, and it applies exactly once.
+  const net::Buffer valid = PushRequest(1, keys, want, exact);
+  net::Buffer shifted(valid.size() + 1);
+  std::memcpy(shifted.data() + 1, valid.data(), valid.size());
+  ASSERT_TRUE(
+      service.Handle(push, shifted.data() + 1, valid.size(), &response).ok());
+  ASSERT_TRUE(
+      reference->Push(keys.data(), keys.size(), exact.data(), 1).ok());
+  const auto applied = peek_all(*store);
+  EXPECT_NE(applied, initial);
+  EXPECT_EQ(applied, peek_all(*reference));
+}
+
+/// Forwards to a DramStore, except that Pull scribbles into `out` and then
+/// fails.
+class FailingPullStore final : public storage::EmbeddingStore {
+ public:
+  explicit FailingPullStore(storage::EmbeddingStore* inner) : inner_(inner) {}
+  Status Pull(const EntryId*, size_t n, uint64_t, float* out) override {
+    std::fill_n(out, n * config().dim, 9.0f);
+    return Status::IoError("injected pull failure");
+  }
+  Status Push(const EntryId* keys, size_t n, const float* grads,
+              uint64_t batch) override {
+    return inner_->Push(keys, n, grads, batch);
+  }
+  Status RequestCheckpoint(uint64_t batch) override {
+    return inner_->RequestCheckpoint(batch);
+  }
+  uint64_t PublishedCheckpoint() const override {
+    return inner_->PublishedCheckpoint();
+  }
+  Status RecoverFromCrash() override { return inner_->RecoverFromCrash(); }
+  size_t EntryCount() const override { return inner_->EntryCount(); }
+  Result<std::vector<float>> Peek(EntryId key) const override {
+    return inner_->Peek(key);
+  }
+  const storage::StoreStats& stats() const override { return inner_->stats(); }
+  const StoreConfig& config() const override { return inner_->config(); }
+  const pmem::DeviceStats& dram_stats() const override {
+    return inner_->dram_stats();
+  }
+
+ private:
+  storage::EmbeddingStore* inner_;
+};
+
+TEST(PsServiceWireTest, FailingPullLeavesAnEmptyResponse) {
+  StoreConfig config;
+  config.dim = kDim;
+  auto inner = DramStore::Create(config, nullptr).ValueOrDie();
+  FailingPullStore store(inner.get());
+  ps::PsService service(&store);
+  net::Buffer response;
+  const Status status =
+      service.Handle(static_cast<uint32_t>(ps::PsMethod::kPull),
+                     PullRequest(1, {1, 2, 3}), &response);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_TRUE(response.empty());
 }
 
 // ---------- Simulator determinism ----------

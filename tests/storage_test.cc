@@ -567,6 +567,88 @@ TEST_F(PipelinedStoreTest, SpaceReclaimedAfterPublish) {
   EXPECT_LE(store_->pool()->AllocatedBytes(), baseline * 3);
 }
 
+TEST(PipelinedStoreCounterTest, PullAndPushCountEveryKeyExactly) {
+  // AdaGrad, so an entry's DRAM footprint (weights + accumulator) differs
+  // from the weights a pull copies out.
+  StoreConfig config = SmallConfig();
+  config.optimizer.kind = OptimizerKind::kAdaGrad;
+  auto device = MakeDevice();
+  auto store = PipelinedStore::Create(config, device.get()).ValueOrDie();
+  const EntryLayout layout(kDim, config.optimizer.Slots());
+  const uint64_t weight_bytes = kDim * sizeof(float);
+  ASSERT_NE(weight_bytes, layout.data_bytes());
+
+  // Batch 1 touches three caches' worth of keys, so after its maintenance
+  // some stay cached and the rest are PMem-resident.
+  std::vector<EntryId> warm(store->CacheCapacityEntries() * 3);
+  std::iota(warm.begin(), warm.end(), 0);
+  std::vector<float> w(warm.size() * kDim);
+  ASSERT_TRUE(store->Pull(warm.data(), warm.size(), 1, w.data()).ok());
+  store->FinishPullPhase(1);
+  std::vector<float> g(warm.size() * kDim, 0.25f);
+  ASSERT_TRUE(store->Push(warm.data(), warm.size(), g.data(), 1).ok());
+  store->WaitIdle();
+
+  // The known mix: 12 cached keys, 12 PMem-resident keys, 6 new keys.
+  std::vector<EntryId> keys;
+  uint64_t cached = 0;
+  uint64_t resident = 0;
+  for (EntryId key : warm) {
+    const bool in_dram = store->IsDramCached(key);
+    if (in_dram && cached < 12) {
+      ++cached;
+      keys.push_back(key);
+    } else if (!in_dram && resident < 12) {
+      ++resident;
+      keys.push_back(key);
+    }
+  }
+  ASSERT_EQ(cached, 12u);
+  ASSERT_EQ(resident, 12u);
+  const uint64_t created = 6;
+  for (EntryId key = 0; key < created; ++key) keys.push_back(1'000'000 + key);
+
+  auto stats = store->stats_snapshot();
+  auto dram = store->dram_stats_snapshot();
+  w.assign(keys.size() * kDim, 0.0f);
+  ASSERT_TRUE(store->Pull(keys.data(), keys.size(), 2, w.data()).ok());
+  auto stats_after = store->stats_snapshot();
+  auto dram_after = store->dram_stats_snapshot();
+  // A new key counts neither as a hit nor as a miss: it is one entry
+  // write plus one weight read.
+  EXPECT_EQ(stats_after.cache_hits - stats.cache_hits, cached);
+  EXPECT_EQ(stats_after.cache_misses - stats.cache_misses, resident);
+  EXPECT_EQ(stats_after.new_entries - stats.new_entries, created);
+  EXPECT_EQ(stats_after.pull_keys - stats.pull_keys, keys.size());
+  EXPECT_EQ(dram_after.read_ops - dram.read_ops, cached + created);
+  EXPECT_EQ(dram_after.read_bytes - dram.read_bytes,
+            (cached + created) * weight_bytes);
+  EXPECT_EQ(dram_after.write_ops - dram.write_ops, created);
+  EXPECT_EQ(dram_after.write_bytes - dram.write_bytes,
+            created * layout.data_bytes());
+
+  // Batch 2's maintenance loads the PMem-resident keys; every key that is
+  // cached when the push lands costs one entry write, the rest go straight
+  // to their PMem records.
+  store->FinishPullPhase(2);
+  store->WaitIdle();
+  uint64_t pushed_in_dram = 0;
+  for (EntryId key : keys) pushed_in_dram += store->IsDramCached(key);
+  stats = store->stats_snapshot();
+  dram = store->dram_stats_snapshot();
+  g.assign(keys.size() * kDim, 0.5f);
+  ASSERT_TRUE(store->Push(keys.data(), keys.size(), g.data(), 2).ok());
+  stats_after = store->stats_snapshot();
+  dram_after = store->dram_stats_snapshot();
+  EXPECT_EQ(stats_after.cache_hits, stats.cache_hits);
+  EXPECT_EQ(stats_after.cache_misses, stats.cache_misses);
+  EXPECT_EQ(stats_after.push_keys - stats.push_keys, keys.size());
+  EXPECT_EQ(dram_after.read_ops, dram.read_ops);
+  EXPECT_EQ(dram_after.write_ops - dram.write_ops, pushed_in_dram);
+  EXPECT_EQ(dram_after.write_bytes - dram.write_bytes,
+            pushed_in_dram * layout.data_bytes());
+}
+
 // ---------- Lock-striped sharding ----------
 
 TEST(ShardedPipelinedStoreTest, ShardCountIsConfigurableAndClamped) {
