@@ -37,23 +37,6 @@ thread_local std::vector<std::shared_ptr<AsyncCall>>* t_claimable = nullptr;
 
 }  // namespace
 
-void NetStats::ExportTo(obs::MetricsRegistry* registry,
-                        const obs::Labels& labels) const {
-  const Snapshot snap = TakeSnapshot();
-  registry->GetGauge("net.requests", labels)
-      ->Set(static_cast<int64_t>(snap.requests));
-  registry->GetGauge("net.bytes_sent", labels)
-      ->Set(static_cast<int64_t>(snap.bytes_sent));
-  registry->GetGauge("net.bytes_received", labels)
-      ->Set(static_cast<int64_t>(snap.bytes_received));
-  registry->GetGauge("net.failed_requests", labels)
-      ->Set(static_cast<int64_t>(snap.failed_requests));
-  registry->GetGauge("net.retries", labels)
-      ->Set(static_cast<int64_t>(snap.retries));
-  registry->GetGauge("net.timeouts", labels)
-      ->Set(static_cast<int64_t>(snap.timeouts));
-}
-
 obs::Distribution* Transport::RpcLatencyFor(NodeId node) {
   std::atomic<obs::Distribution*>& slot =
       node < kMaxTrackedNodes ? rpc_latency_[node] : rpc_latency_other_;

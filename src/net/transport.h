@@ -66,12 +66,6 @@ struct NetStats {
     snap.timeouts = timeouts.load(std::memory_order_relaxed);
     return snap;
   }
-
-  /// Folds these counters into `registry` as gauges (net.requests, ...)
-  /// under `labels` — the registry-snapshot view of the transport's
-  /// counters, consumed by the bench --json exposition.
-  void ExportTo(obs::MetricsRegistry* registry,
-                const obs::Labels& labels) const;
 };
 
 /// Per-call failure policy applied by Transport::Call around every attempt.

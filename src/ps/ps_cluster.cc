@@ -1,6 +1,5 @@
 #include "ps/ps_cluster.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -82,21 +81,6 @@ Status PsCluster::Init() {
     }
   }
   rpc_transport()->set_rpc_options(options_.rpc_options);
-
-  // Per-shard load gauges (DESIGN.md §9): one pull-key gauge per node plus
-  // the max/mean imbalance factor, refreshed on demand.
-  {
-    cluster_id_ = std::to_string(obs::NextInstanceId());
-    auto& registry = obs::MetricsRegistry::Default();
-    imbalance_gauge_ = registry.GetGauge("cluster.load_imbalance_bp",
-                                         {{"cluster", cluster_id_}});
-    node_pull_gauges_.reserve(num_nodes_);
-    for (uint32_t node = 0; node < num_nodes_; ++node) {
-      node_pull_gauges_.push_back(registry.GetGauge(
-          "cluster.node_pull_keys",
-          {{"cluster", cluster_id_}, {"node", std::to_string(node)}}));
-    }
-  }
 
   // Versioned routing: the initial table routes exactly like the legacy
   // modulo router; services validate every keyed request against it.
@@ -256,38 +240,6 @@ std::unique_ptr<PsClient> PsCluster::NewClient() {
   return client;
 }
 
-std::vector<uint64_t> PsCluster::NodePullKeys() const {
-  std::vector<uint64_t> pulls(num_nodes_, 0);
-  for (uint32_t node = 0; node < num_nodes_; ++node) {
-    if (stores_[node] != nullptr) {
-      pulls[node] = stores_[node]->stats_snapshot().pull_keys;
-    }
-  }
-  return pulls;
-}
-
-double PsCluster::LoadImbalance() const {
-  const std::vector<uint64_t> pulls = NodePullKeys();
-  uint64_t total = 0;
-  uint64_t peak = 0;
-  for (const uint64_t p : pulls) {
-    total += p;
-    peak = std::max(peak, p);
-  }
-  if (total == 0) return 1.0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(pulls.size());
-  return static_cast<double>(peak) / mean;
-}
-
-void PsCluster::RefreshLoadGauges() {
-  const std::vector<uint64_t> pulls = NodePullKeys();
-  for (uint32_t node = 0; node < num_nodes_; ++node) {
-    node_pull_gauges_[node]->Set(static_cast<int64_t>(pulls[node]));
-  }
-  imbalance_gauge_->Set(static_cast<int64_t>(LoadImbalance() * 10000.0));
-}
-
 namespace {
 
 pmem::DeviceStats::Snapshot Accumulate(
@@ -437,9 +389,6 @@ Result<uint32_t> PsCluster::AddNode() {
   if (faulty_ != nullptr) {
     faulty_->SetFaultSpec(node, options_.net_fault_spec);
   }
-  node_pull_gauges_.push_back(obs::MetricsRegistry::Default().GetGauge(
-      "cluster.node_pull_keys",
-      {{"cluster", cluster_id_}, {"node", std::to_string(node)}}));
   // Epoch bump with the new node active but owning no slots: broadcasts
   // (recover, checkpoint drains, entry counts) reach it immediately, while
   // keyed traffic arrives only once MigrateSlots hands it a range.

@@ -10,7 +10,6 @@
 #include "ckpt/checkpoint_log.h"
 #include "net/faulty_transport.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
 #include "pmem/device.h"
 #include "ps/ps_client.h"
 #include "ps/ps_service.h"
@@ -115,17 +114,6 @@ class PsCluster {
 
   std::nullptr_t placement() const { return nullptr; }  // perfbench stub
 
-  /// Refreshes the per-shard load gauges from each node's engine counters:
-  /// cluster.node_pull_keys{node=i} plus cluster.load_imbalance_bp
-  /// (10000 * max/mean of per-node pull_keys; 10000 = perfectly balanced).
-  /// Cheap; benches call it before dumping the metrics registry.
-  void RefreshLoadGauges();
-
-  /// Per-node pull-key counts (index = node id; 0 for down nodes) and the
-  /// max/mean load-imbalance factor they imply (1.0 = perfectly balanced).
-  std::vector<uint64_t> NodePullKeys() const;
-  double LoadImbalance() const;
-
   /// Power-cycles every simulated device (data loss per crash fidelity).
   void SimulateCrashAll();
 
@@ -225,7 +213,6 @@ class PsCluster {
 
   ClusterOptions options_;
   uint32_t num_nodes_ = 0;
-  std::string cluster_id_;
   std::vector<std::unique_ptr<pmem::PmemDevice>> pmem_devices_;
   std::vector<std::unique_ptr<pmem::PmemDevice>> log_devices_;
   std::vector<std::unique_ptr<ckpt::CheckpointLog>> logs_;
@@ -237,11 +224,6 @@ class PsCluster {
   std::unique_ptr<RoutingDirectory> directory_;
   std::unique_ptr<PsClient> client_;
   MigrationHook migration_hook_;
-
-  // Per-shard load gauges (see RefreshLoadGauges), registered in Init with
-  // a {"cluster"} instance label.
-  obs::Gauge* imbalance_gauge_ = nullptr;
-  std::vector<obs::Gauge*> node_pull_gauges_;
 };
 
 }  // namespace oe::ps

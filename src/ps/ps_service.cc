@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -281,70 +282,67 @@ Status PsService::HandleMultiGet(Reader* reader, net::Buffer* response,
   std::shared_lock<std::shared_mutex> route_lock(route_mutex_);
   OE_RETURN_IF_ERROR(
       CheckOwnership(keys.data(), keys.size(), /*check_seal=*/false, header));
+  const size_t n = keys.size();
   const uint32_t dim = store_->config().dim;
-  std::vector<float> values(keys.size() * dim);
-  std::vector<uint8_t> found(keys.size(), 0);
-  uint64_t cp = 0;
-  bool resolved = false;
+  const size_t row_bytes = dim * sizeof(float);
+  // The reply is written in place: [cp : u64][n found bytes][u32 float
+  // count][n rows]. The rows follow the found bytes, so they sit at an
+  // arbitrary byte offset and are only ever written with memcpy.
+  response->clear();
+  response->resize(sizeof(uint64_t) + n + sizeof(uint32_t) + n * row_bytes);
+  uint8_t* found = response->data() + sizeof(uint64_t);
+  const uint32_t count = static_cast<uint32_t>(n * dim);
+  std::memcpy(found + n, &count, sizeof(count));
+  uint8_t* rows = found + n + sizeof(uint32_t);
 
-  if (serving_cache_ != nullptr) {
-    // Probe the cache at the current serving checkpoint, fetch the misses
-    // from the store's snapshot path, and keep the response only when both
-    // agree on the checkpoint — a publish that lands between the probe and
-    // the fetch would otherwise mix two versions. Bounded retries; training
-    // publishes are batch-paced, so two consecutive collisions are rare.
-    std::vector<size_t> miss_pos;
-    std::vector<uint64_t> miss_keys;
-    std::vector<float> fetched;
-    std::vector<uint8_t> miss_found;
-    for (int attempt = 0; attempt < 3 && !resolved; ++attempt) {
-      const uint64_t cp_now = store_->PublishedCheckpoint();
-      miss_pos.clear();
-      miss_keys.clear();
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (serving_cache_->Lookup(keys[i], cp_now, values.data() + i * dim)) {
-          found[i] = 1;
-        } else {
-          found[i] = 0;
-          miss_pos.push_back(i);
-          miss_keys.push_back(keys[i]);
-        }
-      }
-      if (miss_keys.empty()) {
-        cp = cp_now;
-        resolved = true;
-        break;
-      }
-      fetched.assign(miss_keys.size() * dim, 0.0f);
-      miss_found.assign(miss_keys.size(), 0);
-      uint64_t fetch_cp = 0;
-      OE_RETURN_IF_ERROR(store_->MultiGet(miss_keys.data(), miss_keys.size(),
-                                          fetched.data(), miss_found.data(),
-                                          &fetch_cp));
-      if (fetch_cp != cp_now) continue;
-      for (size_t m = 0; m < miss_pos.size(); ++m) {
-        const size_t i = miss_pos[m];
-        std::copy_n(fetched.data() + m * dim, dim, values.data() + i * dim);
-        found[i] = miss_found[m];
-        if (found[i]) {
-          serving_cache_->Insert(keys[i], cp_now, fetched.data() + m * dim);
-        }
-      }
-      cp = cp_now;
-      resolved = true;
+  // Probe every key at the serving checkpoint; with no cache every probe
+  // misses.
+  uint64_t cp = store_->PublishedCheckpoint();
+  std::vector<size_t> miss_pos;
+  std::vector<uint64_t> miss_keys;
+  for (size_t i = 0; i < n; ++i) {
+    if (serving_cache_ != nullptr &&
+        serving_cache_->Lookup(keys[i], cp, rows + i * row_bytes)) {
+      found[i] = 1;
+    } else {
+      miss_pos.push_back(i);
+      miss_keys.push_back(keys[i]);
     }
   }
-  if (!resolved) {
-    // Cache disabled, or the publish rate outran the probe/fetch window:
-    // one store read is consistent by construction (single snapshot pin).
-    OE_RETURN_IF_ERROR(store_->MultiGet(keys.data(), keys.size(),
-                                        values.data(), found.data(), &cp));
+  if (!miss_keys.empty()) {
+    std::vector<float> fetched(miss_keys.size() * dim);
+    std::vector<uint8_t> fetched_found(miss_keys.size());
+    uint64_t fetch_cp = 0;
+    Status status =
+        store_->MultiGet(miss_keys.data(), miss_keys.size(), fetched.data(),
+                         fetched_found.data(), &fetch_cp);
+    if (status.ok() && fetch_cp != cp && miss_keys.size() < n) {
+      // A publish landed between the probe and the fetch, so the hits and
+      // the fetched rows name two checkpoints. Re-read every key: one store
+      // read holds one snapshot pin, so it is consistent by construction.
+      miss_pos.resize(n);
+      std::iota(miss_pos.begin(), miss_pos.end(), size_t{0});
+      fetched.resize(n * dim);
+      fetched_found.resize(n);
+      status = store_->MultiGet(keys.data(), n, fetched.data(),
+                                fetched_found.data(), &fetch_cp);
+    }
+    if (!status.ok()) {
+      response->clear();  // an error reply carries no payload
+      return status;
+    }
+    cp = fetch_cp;
+    for (size_t m = 0; m < miss_pos.size(); ++m) {
+      const size_t i = miss_pos[m];
+      const float* row = fetched.data() + m * dim;
+      found[i] = fetched_found[m];
+      std::memcpy(rows + i * row_bytes, row, row_bytes);
+      if (found[i] && serving_cache_ != nullptr) {
+        serving_cache_->Insert(keys[i], cp, row);
+      }
+    }
   }
-
-  Writer writer(response);
-  writer.PutU64(cp);
-  writer.PutRaw(found.data(), found.size());
-  writer.PutFloatSpan(values.data(), values.size());
+  std::memcpy(response->data(), &cp, sizeof(cp));
   return Status::OK();
 }
 

@@ -8,9 +8,6 @@ namespace oe::ps {
 namespace {
 
 constexpr size_t kShards = 8;
-/// Halve the frequency sketch after this many recorded probes per shard, so
-/// yesterday's hot users cool off (same decay idea as the store cache).
-constexpr uint64_t kDecayEvery = 1 << 14;
 
 }  // namespace
 
@@ -21,11 +18,7 @@ ServingCache::ServingCache(size_t capacity_bytes, uint32_t dim) : dim_(dim) {
   per_shard_capacity_ = std::max<size_t>(total_entries / kShards, 1);
   shards_.reserve(kShards);
   for (size_t s = 0; s < kShards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    // Sketch width ~4x the resident set keeps collision over-counting low.
-    shard->freq =
-        std::make_unique<cache::FreqEstimator>(per_shard_capacity_ * 4);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -40,11 +33,9 @@ void ServingCache::RemoveLocked(Shard* shard, Entry* entry) {
   shard->map.erase(entry->key);  // frees the entry
 }
 
-bool ServingCache::Lookup(uint64_t key, uint64_t cp, float* out) {
+bool ServingCache::Lookup(uint64_t key, uint64_t cp, uint8_t* out) {
   Shard& shard = *shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.freq->Record(key);
-  if (++shard.samples % kDecayEvery == 0) shard.freq->Decay();
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
@@ -80,18 +71,8 @@ void ServingCache::Insert(uint64_t key, uint64_t cp, const float* weights) {
     return;
   }
   if (shard.map.size() >= per_shard_capacity_) {
-    // TinyLFU admission: the candidate must beat the LRU victim on the
-    // frequency sketch, else it is not worth a hot slot.
-    Entry* victim = shard.lru.Tail();
-    if (victim != nullptr &&
-        shard.freq->Estimate(key) <= shard.freq->Estimate(victim->key)) {
-      stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (victim != nullptr) {
-      RemoveLocked(&shard, victim);
-      stats_.evicted.fetch_add(1, std::memory_order_relaxed);
-    }
+    RemoveLocked(&shard, shard.lru.Tail());
+    stats_.evicted.fetch_add(1, std::memory_order_relaxed);
   }
   auto entry = std::make_unique<Entry>();
   entry->key = key;
@@ -100,7 +81,6 @@ void ServingCache::Insert(uint64_t key, uint64_t cp, const float* weights) {
   std::memcpy(entry->data.get(), weights, dim_ * sizeof(float));
   shard.lru.PushFront(entry.get());
   shard.map.emplace(key, std::move(entry));
-  stats_.admitted.fetch_add(1, std::memory_order_relaxed);
 }
 
 size_t ServingCache::entries() const {
@@ -110,6 +90,10 @@ size_t ServingCache::entries() const {
     total += shard->map.size();
   }
   return total;
+}
+
+size_t ServingCache::capacity() const {
+  return per_shard_capacity_ * shards_.size();
 }
 
 double ServingCache::HitRate() const {

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/freq_estimator.h"
 #include "cache/lru_list.h"
 
 namespace oe::ps {
@@ -16,8 +15,7 @@ namespace oe::ps {
 struct ServingCacheStats {
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> admitted{0};
-  std::atomic<uint64_t> rejected{0};
+  /// Entries displaced from a full shard to make room for a new key.
   std::atomic<uint64_t> evicted{0};
   /// Entries dropped because their checkpoint tag no longer matches the
   /// serving checkpoint (training published a newer version).
@@ -33,26 +31,25 @@ struct ServingCacheStats {
 /// serving checkpoint treats the stale entry as a miss and drops it (lazy
 /// invalidation — no cross-thread flush when training publishes).
 ///
-/// Admission is TinyLFU-style via cache::FreqEstimator: once a shard is
-/// full, a new key must have a higher access-frequency estimate than the LRU
-/// victim to displace it, so one-hit wonders in the long Zipf tail cannot
-/// wash out the hot head. Internally sharded; each shard takes one
-/// uncontended mutex per probe.
+/// A plain sharded LRU: a full shard evicts its least recently used entry
+/// for every new key. Each shard takes one uncontended mutex per probe.
 class ServingCache {
  public:
   /// `capacity_bytes` is split evenly across shards; `dim` floats per value.
   ServingCache(size_t capacity_bytes, uint32_t dim);
 
   /// On hit copies the dim cached floats for `key` (tagged with checkpoint
-  /// `cp`) into `out` and returns true. A tag mismatch drops the entry and
-  /// reports a miss.
-  bool Lookup(uint64_t key, uint64_t cp, float* out);
+  /// `cp`) to the bytes at `out` and returns true. `out` needs no
+  /// alignment. A tag mismatch drops the entry and reports a miss.
+  bool Lookup(uint64_t key, uint64_t cp, uint8_t* out);
 
-  /// Offers a value read from the store at checkpoint `cp` for admission.
+  /// Caches a value read from the store at checkpoint `cp`.
   void Insert(uint64_t key, uint64_t cp, const float* weights);
 
   const ServingCacheStats& stats() const { return stats_; }
   size_t entries() const;
+  /// Entries the cache holds at most (per-shard capacity times shards).
+  size_t capacity() const;
   uint32_t dim() const { return dim_; }
   double HitRate() const;
 
@@ -67,8 +64,6 @@ class ServingCache {
     mutable std::mutex mutex;
     std::unordered_map<uint64_t, std::unique_ptr<Entry>> map;
     cache::LruList<Entry, &Entry::lru> lru;
-    std::unique_ptr<cache::FreqEstimator> freq;
-    uint64_t samples = 0;
   };
 
   size_t ShardOf(uint64_t key) const;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cache/access_queue.h"
-#include "cache/freq_estimator.h"
 #include "cache/lru_list.h"
 #include "cache/tagged_ptr.h"
 #include "common/random.h"
@@ -155,51 +154,6 @@ TEST(LruListTest, NodeOffsetRecoveryWithLeadingMembers) {
   EXPECT_EQ(list.Head(), &b);
   EXPECT_EQ(list.Tail()->key, 7u);
   EXPECT_EQ(list.MoreRecent(list.Tail()), &b);
-}
-
-TEST(FreqEstimatorTest, RecordIncrementsAndEstimates) {
-  FreqEstimator freq(256);
-  EXPECT_EQ(freq.Estimate(42), 0u);
-  EXPECT_EQ(freq.Record(42), 1u);
-  EXPECT_EQ(freq.Record(42), 2u);
-  EXPECT_EQ(freq.Record(42), 3u);
-  EXPECT_EQ(freq.Estimate(42), 3u);
-  // Count-min estimates only over-count, never under-count.
-  EXPECT_GE(freq.Estimate(42), 3u);
-}
-
-TEST(FreqEstimatorTest, SaturatesAtMax) {
-  FreqEstimator freq(256);
-  for (uint32_t i = 0; i < 2 * FreqEstimator::kMaxFreq; ++i) freq.Record(7);
-  EXPECT_EQ(freq.Estimate(7), FreqEstimator::kMaxFreq);
-}
-
-TEST(FreqEstimatorTest, DecayHalves) {
-  FreqEstimator freq(256);
-  for (int i = 0; i < 8; ++i) freq.Record(1);
-  freq.Decay();
-  EXPECT_EQ(freq.Estimate(1), 4u);
-  freq.Decay();
-  EXPECT_EQ(freq.Estimate(1), 2u);
-}
-
-TEST(FreqEstimatorTest, WidthRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FreqEstimator(1).width(), 64u);
-  EXPECT_EQ(FreqEstimator(64).width(), 64u);
-  EXPECT_EQ(FreqEstimator(65).width(), 128u);
-  EXPECT_EQ(FreqEstimator(1000).width(), 1024u);
-}
-
-TEST(FreqEstimatorTest, DistinguishesHotFromCold) {
-  // With a sketch much wider than the key population, a hot key's estimate
-  // must clearly dominate the cold keys' despite hash sharing.
-  FreqEstimator freq(4096);
-  for (int round = 0; round < 50; ++round) freq.Record(0);
-  for (uint64_t k = 1; k <= 100; ++k) freq.Record(k);
-  EXPECT_EQ(freq.Estimate(0), 50u);
-  for (uint64_t k = 1; k <= 100; ++k) {
-    EXPECT_LT(freq.Estimate(k), 10u) << "cold key " << k;
-  }
 }
 
 // Property: LruList behaves exactly like a reference std::list-based LRU

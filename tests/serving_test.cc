@@ -12,17 +12,21 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "net/message.h"
 #include "ps/ps_cluster.h"
+#include "ps/ps_service.h"
 #include "ps/serving_cache.h"
 #include "storage/pipelined_store.h"
 #include "test_util.h"
@@ -260,50 +264,199 @@ TEST(ServingCacheTest, TagMismatchInvalidatesLazily) {
   cache.Insert(42, /*cp=*/1, value.data());
 
   std::vector<float> out(kDim, 0.0f);
-  EXPECT_TRUE(cache.Lookup(42, /*cp=*/1, out.data()));
+  uint8_t* out_bytes = reinterpret_cast<uint8_t*>(out.data());
+  EXPECT_TRUE(cache.Lookup(42, /*cp=*/1, out_bytes));
   EXPECT_EQ(out[0], 1.5f);
 
   // Same key at a newer checkpoint: stale entry must not be served.
-  EXPECT_FALSE(cache.Lookup(42, /*cp=*/2, out.data()));
+  EXPECT_FALSE(cache.Lookup(42, /*cp=*/2, out_bytes));
   EXPECT_EQ(cache.stats().invalidated.load(), 1u);
   // And the stale entry is gone entirely.
-  EXPECT_FALSE(cache.Lookup(42, /*cp=*/1, out.data()));
+  EXPECT_FALSE(cache.Lookup(42, /*cp=*/1, out_bytes));
   EXPECT_EQ(cache.entries(), 0u);
 }
 
-TEST(ServingCacheTest, AdmissionPrefersFrequentKeys) {
-  // Capacity of one entry per shard: every insert beyond the first in a
-  // shard must win a frequency duel with the resident.
-  ServingCache cache(/*capacity_bytes=*/1, kDim);
-  std::vector<float> value(kDim, 1.0f);
-  std::vector<float> out(kDim);
-
-  // Make key 1 hot (its shard's sketch remembers the probes).
-  for (int i = 0; i < 8; ++i) cache.Lookup(1, 1, out.data());
-  cache.Insert(1, 1, value.data());
-  ASSERT_TRUE(cache.Lookup(1, 1, out.data()));
-
-  // A cold key hashing anywhere must not displace it; probing key 1's own
-  // shard directly (same key id ensures same shard) would. Use a batch of
-  // cold keys: after all of them, key 1 must still be resident.
-  for (uint64_t cold = 100; cold < 116; ++cold) {
-    cache.Insert(cold, 1, value.data());
+TEST(ServingCacheTest, FullShardsEvictLeastRecentlyUsed) {
+  ServingCache cache(/*capacity_bytes=*/4 * 1024, kDim);
+  const size_t capacity = cache.capacity();
+  ASSERT_GT(capacity, 0u);
+  std::vector<float> value(kDim);
+  // One spare byte puts the destination at an odd address: Lookup copies
+  // bytes and needs no alignment.
+  std::vector<uint8_t> out(1 + kDim * sizeof(float));
+  uint64_t inserted = 0;
+  for (uint64_t key = 0; key < 4 * capacity; ++key) {
+    value.assign(kDim, static_cast<float>(key));
+    cache.Insert(key, /*cp=*/1, value.data());
+    ++inserted;
+    ASSERT_LE(cache.entries(), capacity);
+    // The key inserted last is always resident, with its value.
+    ASSERT_TRUE(cache.Lookup(key, /*cp=*/1, out.data() + 1)) << "key " << key;
+    float first = 0.0f;
+    std::memcpy(&first, out.data() + 1, sizeof(first));
+    ASSERT_EQ(first, static_cast<float>(key));
+    // Key 0 is read after every insert, so it is never its shard's least
+    // recently used entry and is never displaced.
+    ASSERT_TRUE(cache.Lookup(0, /*cp=*/1, out.data() + 1)) << "after " << key;
+    // Every key inserted is either resident or was displaced exactly once.
+    ASSERT_EQ(cache.stats().evicted.load() + cache.entries(), inserted);
   }
-  EXPECT_TRUE(cache.Lookup(1, 1, out.data()));
-  EXPECT_GT(cache.stats().rejected.load(), 0u);
+  EXPECT_GT(cache.stats().evicted.load(), 0u);
+  EXPECT_EQ(cache.stats().invalidated.load(), 0u);
 }
 
-TEST(ServingCacheTest, HotterKeyEventuallyDisplacesVictim) {
-  ServingCache cache(/*capacity_bytes=*/1, kDim);
-  std::vector<float> value(kDim, 2.0f);
-  std::vector<float> out(kDim);
-  cache.Insert(7, 1, value.data());
-  // 7 was never probed; 7007 (any key, possibly another shard) gets probed
-  // hot, then admitted. If they share a shard it displaces 7; either way
-  // the hot key must be resident afterwards.
-  for (int i = 0; i < 8; ++i) cache.Lookup(7007, 1, out.data());
-  cache.Insert(7007, 1, value.data());
-  EXPECT_TRUE(cache.Lookup(7007, 1, out.data()));
+/// Forwards to a PipelinedStore, except that its first MultiGet call first
+/// trains and publishes checkpoint `batch`: a publish that lands between
+/// PsService's cache probe and its store fetch.
+class PublishOnFirstMultiGetStore final : public storage::EmbeddingStore {
+ public:
+  PublishOnFirstMultiGetStore(storage::EmbeddingStore* inner,
+                              std::vector<EntryId> keys, uint64_t batch)
+      : inner_(inner), keys_(std::move(keys)), batch_(batch) {}
+
+  Status MultiGet(const EntryId* keys, size_t n, float* out, uint8_t* found,
+                  uint64_t* snapshot_version) override {
+    if (!published_) {
+      published_ = true;
+      TrainStep(inner_, keys_, batch_);
+      OE_RETURN_IF_ERROR(inner_->RequestCheckpoint(batch_));
+      OE_RETURN_IF_ERROR(inner_->DrainCheckpoints());
+    }
+    ++multigets_;
+    return inner_->MultiGet(keys, n, out, found, snapshot_version);
+  }
+  Status Pull(const EntryId* keys, size_t n, uint64_t batch,
+              float* out) override {
+    return inner_->Pull(keys, n, batch, out);
+  }
+  void FinishPullPhase(uint64_t batch) override {
+    inner_->FinishPullPhase(batch);
+  }
+  Status Push(const EntryId* keys, size_t n, const float* grads,
+              uint64_t batch) override {
+    return inner_->Push(keys, n, grads, batch);
+  }
+  Status RequestCheckpoint(uint64_t batch) override {
+    return inner_->RequestCheckpoint(batch);
+  }
+  Status DrainCheckpoints() override { return inner_->DrainCheckpoints(); }
+  uint64_t PublishedCheckpoint() const override {
+    return inner_->PublishedCheckpoint();
+  }
+  Status RecoverFromCrash() override { return inner_->RecoverFromCrash(); }
+  size_t EntryCount() const override { return inner_->EntryCount(); }
+  Result<std::vector<float>> Peek(EntryId key) const override {
+    return inner_->Peek(key);
+  }
+  const storage::StoreStats& stats() const override { return inner_->stats(); }
+  const StoreConfig& config() const override { return inner_->config(); }
+  const pmem::DeviceStats& dram_stats() const override {
+    return inner_->dram_stats();
+  }
+
+  /// Store reads issued so far.
+  int multigets() const { return multigets_; }
+
+ private:
+  storage::EmbeddingStore* inner_;
+  const std::vector<EntryId> keys_;
+  const uint64_t batch_;
+  bool published_ = false;
+  int multigets_ = 0;
+};
+
+struct MultiGetReply {
+  uint64_t cp = 0;
+  std::vector<uint8_t> found;
+  std::vector<float> weights;
+};
+
+/// Sends one kMultiGet through `service` and decodes the reply.
+MultiGetReply ServiceMultiGet(ps::PsService* service,
+                              const std::vector<EntryId>& keys) {
+  net::Buffer request;
+  net::Writer writer(&request);
+  writer.PutU64(0);  // client id: reads opt out of dedup
+  writer.PutU64(0);  // seq
+  writer.PutU64(0);  // route epoch
+  writer.PutU64Span(keys.data(), keys.size());
+  net::Buffer response;
+  MultiGetReply reply;
+  EXPECT_TRUE(service
+                  ->Handle(static_cast<uint32_t>(ps::PsMethod::kMultiGet),
+                           request, &response)
+                  .ok());
+  net::Reader reader(response);
+  reply.found.resize(keys.size());
+  EXPECT_TRUE(reader.GetU64(&reply.cp).ok());
+  EXPECT_TRUE(reader.GetRaw(reply.found.data(), keys.size()).ok());
+  EXPECT_TRUE(reader.GetFloatSpan(&reply.weights).ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+  return reply;
+}
+
+/// Publishes checkpoint 2, warms the first `warm` of 10 keys into a
+/// PsService's ServingCache at checkpoint 2, and then serves all 10 keys
+/// through the service while checkpoint 3 publishes between the cache probe
+/// and the store fetch. The reply must be checkpoint 3 throughout: the
+/// warmed hits are checkpoint-2 values and may not be mixed in. With 10
+/// keys the reply's rows start at byte 22, off float alignment.
+void ExpectPublishRaceServesNewCheckpoint(size_t warm) {
+  auto device = MakeDevice();
+  auto inner = PipelinedStore::Create(ServingConfig(), device.get())
+                   .ValueOrDie();
+  std::vector<EntryId> keys(10);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = 100 + i;
+  for (uint64_t batch = 1; batch <= 2; ++batch) {
+    TrainStep(inner.get(), keys, batch);
+    ASSERT_TRUE(inner->RequestCheckpoint(batch).ok());
+    ASSERT_TRUE(inner->DrainCheckpoints().ok());
+  }
+  ASSERT_EQ(inner->PublishedCheckpoint(), 2u);
+
+  PublishOnFirstMultiGetStore store(inner.get(), keys, /*batch=*/3);
+  ps::PsService service(&store);
+  service.EnableServingCache(64 * 1024);
+  ServingCache* cache = service.serving_cache();
+  std::vector<float> row(kDim);
+  std::vector<uint8_t> row_found(1);
+  for (size_t i = 0; i < warm; ++i) {
+    uint64_t cp = 0;
+    ASSERT_TRUE(
+        inner->MultiGet(&keys[i], 1, row.data(), row_found.data(), &cp).ok());
+    ASSERT_EQ(cp, 2u);
+    ASSERT_EQ(row[0], -1.0f);
+    cache->Insert(keys[i], cp, row.data());
+  }
+
+  const MultiGetReply reply = ServiceMultiGet(&service, keys);
+  EXPECT_EQ(reply.cp, 3u);
+  ASSERT_EQ(reply.weights.size(), keys.size() * kDim);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(reply.found[i], 1) << "key " << keys[i];
+    for (uint32_t d = 0; d < kDim; ++d) {
+      EXPECT_EQ(reply.weights[i * kDim + d], -1.5f)
+          << "key " << keys[i] << " dim " << d << " is not checkpoint 3's";
+    }
+  }
+
+  // The rows just served are cached at checkpoint 3: the next read hits
+  // every key and touches the store no more.
+  const int store_reads = store.multigets();
+  const uint64_t hits = cache->stats().hits.load();
+  const MultiGetReply again = ServiceMultiGet(&service, keys);
+  EXPECT_EQ(again.cp, 3u);
+  EXPECT_EQ(again.weights, reply.weights);
+  EXPECT_EQ(cache->stats().hits.load() - hits, keys.size());
+  EXPECT_EQ(store.multigets(), store_reads);
+}
+
+TEST(ServingServiceTest, PublishBetweenProbeAndFetchRereadsEveryKey) {
+  ExpectPublishRaceServesNewCheckpoint(/*warm=*/5);
+}
+
+TEST(ServingServiceTest, PublishBeforeFetchWithEveryKeyMissing) {
+  ExpectPublishRaceServesNewCheckpoint(/*warm=*/0);
 }
 
 TEST(ServingClusterTest, ClientMultiGetServesConsistentClusterSnapshot) {
