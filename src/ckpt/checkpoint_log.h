@@ -62,7 +62,6 @@ class CheckpointLog {
 
   /// Bytes consumed by committed chunks.
   uint64_t UsedBytes() const;
-  uint64_t CapacityBytes() const { return device_->size() - kDataStart; }
 
   pmem::PmemDevice* device() { return device_; }
 

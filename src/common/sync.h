@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 namespace oe {
@@ -35,75 +34,6 @@ class SpinLock {
 
  private:
   std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-};
-
-/// Reader-writer lock with instrumentation hooks: counts acquisitions so the
-/// simulation cost model can charge contention (Section 2 of DESIGN.md).
-/// Algorithms 1 & 2 of the paper take this lock in read mode on the pull
-/// path and write mode during cache maintenance.
-class InstrumentedRwLock {
- public:
-  void AcquireRead() {
-    mutex_.lock_shared();
-    read_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void ReleaseRead() { mutex_.unlock_shared(); }
-
-  void AcquireWrite() {
-    mutex_.lock();
-    write_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Non-blocking write acquisition, used by the sharded store's checkpoint
-  /// ack sweep: idle shards can acknowledge a pending checkpoint without the
-  /// requester stalling behind a busy shard's maintenance chunk.
-  bool TryAcquireWrite() {
-    if (!mutex_.try_lock()) return false;
-    write_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  void ReleaseWrite() { mutex_.unlock(); }
-
-  uint64_t read_acquisitions() const {
-    return read_acquisitions_.load(std::memory_order_relaxed);
-  }
-  uint64_t write_acquisitions() const {
-    return write_acquisitions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::shared_mutex mutex_;
-  std::atomic<uint64_t> read_acquisitions_{0};
-  std::atomic<uint64_t> write_acquisitions_{0};
-};
-
-/// RAII read guard for InstrumentedRwLock.
-class ReadGuard {
- public:
-  explicit ReadGuard(InstrumentedRwLock& lock) : lock_(lock) {
-    lock_.AcquireRead();
-  }
-  ~ReadGuard() { lock_.ReleaseRead(); }
-  ReadGuard(const ReadGuard&) = delete;
-  ReadGuard& operator=(const ReadGuard&) = delete;
-
- private:
-  InstrumentedRwLock& lock_;
-};
-
-/// RAII write guard for InstrumentedRwLock.
-class WriteGuard {
- public:
-  explicit WriteGuard(InstrumentedRwLock& lock) : lock_(lock) {
-    lock_.AcquireWrite();
-  }
-  ~WriteGuard() { lock_.ReleaseWrite(); }
-  WriteGuard(const WriteGuard&) = delete;
-  WriteGuard& operator=(const WriteGuard&) = delete;
-
- private:
-  InstrumentedRwLock& lock_;
 };
 
 /// Reusable synchronization barrier for N participants (the synchronous

@@ -91,7 +91,6 @@ Status FaultyTransport::CallOnce(NodeId node, uint32_t method,
             d.delay_ms = spec.delay_ms;
             state->stats.delayed++;
           }
-          d.response_ns_per_byte = spec.response_ns_per_byte;
         }
         if (spec.disconnect_at != 0 && ordinal == spec.disconnect_at) {
           d.disconnect_after = true;
@@ -124,12 +123,6 @@ Status FaultyTransport::CallOnce(NodeId node, uint32_t method,
   }
   if (d.delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(d.delay_ms));
-  }
-  if (status.ok() && d.response_ns_per_byte > 0) {
-    // Bandwidth throttle: hold the reply in proportion to its size (the
-    // response is fully received before the caller may continue).
-    std::this_thread::sleep_for(std::chrono::nanoseconds(
-        d.response_ns_per_byte * response->size()));
   }
   if (d.disconnect_after) {
     std::lock_guard<std::mutex> lock(mutex_);

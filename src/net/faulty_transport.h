@@ -43,14 +43,6 @@ struct NetFaultSpec {
   /// Probability a call's response is delayed by delay_ms.
   double delay_rate = 0.0;
   int64_t delay_ms = 5;
-  /// Response-bandwidth model: every successful call is additionally held
-  /// for response_bytes * response_ns_per_byte nanoseconds before the
-  /// caller sees the reply (0 disables). Unlike delay_rate/delay_ms (a
-  /// flat per-call hiccup), this makes latency proportional to payload, so
-  /// a pull-heavy phase costs what it transfers while tiny acks stay
-  /// cheap — the worker-downlink model bench_prefetch uses to make
-  /// pull/compute overlap measurable.
-  uint64_t response_ns_per_byte = 0;
   /// Take the node down after the Nth call to it completes (0 = never).
   /// Subsequent calls return kUnavailable until the node is revived.
   uint64_t disconnect_at = 0;
@@ -124,7 +116,6 @@ class FaultyTransport final : public Transport {
     bool fail_response = false;
     bool duplicate = false;
     int64_t delay_ms = 0;
-    uint64_t response_ns_per_byte = 0;
     bool disconnect_after = false;
   };
 

@@ -36,8 +36,6 @@ struct PsDeployment {
   double DollarsPerEpoch(double epoch_hours) const {
     return DollarsPerHour() * epoch_hours;
   }
-  uint64_t TotalDramGb() const { return instance.dram_gb * machines; }
-  uint64_t TotalPmemGb() const { return instance.pmem_gb * machines; }
 };
 
 /// Machines needed to hold `model_gb` of embeddings on DRAM servers

@@ -106,10 +106,6 @@ struct EpochReport {
   uint64_t pmem_read_bytes = 0;
   uint64_t pmem_write_bytes = 0;
   uint64_t net_bytes = 0;
-
-  double EpochHours(double scale = 1.0) const {
-    return static_cast<double>(epoch_ns) * scale / 3.6e12;
-  }
 };
 
 class TrainingSimulator {

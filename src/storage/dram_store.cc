@@ -55,7 +55,7 @@ Status DramStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
   // pass under the write lock (mirrors Algorithm 1 lines 6-12).
   std::vector<size_t> missing;
   {
-    ReadGuard guard(lock_);
+    std::shared_lock guard(lock_);
     for (size_t i = 0; i < n; ++i) {
       auto it = entries_.find(keys[i]);
       if (it == entries_.end()) {
@@ -69,7 +69,7 @@ Status DramStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
     }
   }
   if (!missing.empty()) {
-    WriteGuard guard(lock_);
+    std::unique_lock guard(lock_);
     for (size_t i : missing) {
       DramEntry* entry = FindOrCreate(keys[i], batch);
       std::memcpy(out + i * config_.dim, entry->data.data(), weight_bytes);
@@ -83,7 +83,7 @@ Status DramStore::Push(const EntryId* keys, size_t n, const float* grads,
                        uint64_t batch) {
   stats_.push_keys.fetch_add(n, std::memory_order_relaxed);
   {
-    ReadGuard guard(lock_);
+    std::shared_lock guard(lock_);
     for (size_t i = 0; i < n; ++i) {
       auto it = entries_.find(keys[i]);
       if (it == entries_.end()) {
@@ -103,7 +103,7 @@ Status DramStore::Push(const EntryId* keys, size_t n, const float* grads,
   }
   // Dirty tracking for the incremental checkpointer.
   if (log_ != nullptr) {
-    WriteGuard guard(lock_);
+    std::unique_lock guard(lock_);
     for (size_t i = 0; i < n; ++i) dirty_.insert(keys[i]);
   }
   return Status::OK();
@@ -115,7 +115,7 @@ Status DramStore::RequestCheckpoint(uint64_t batch) {
   }
   // Synchronous incremental checkpoint: serialize every dirty entry and
   // append one chunk. Training is paused by the caller for the duration.
-  WriteGuard guard(lock_);
+  std::unique_lock guard(lock_);
   const uint64_t record_bytes = layout_.record_bytes();
   std::vector<uint8_t> buffer(dirty_.size() * record_bytes);
   uint64_t count = 0;
@@ -143,7 +143,7 @@ Status DramStore::RecoverFromCrash() {
   if (log_ == nullptr) {
     return Status::FailedPrecondition("no checkpoint log to recover from");
   }
-  WriteGuard guard(lock_);
+  std::unique_lock guard(lock_);
   entries_.clear();
   dirty_.clear();
   const uint64_t target = log_->LatestBatch();
@@ -159,12 +159,12 @@ Status DramStore::RecoverFromCrash() {
 }
 
 size_t DramStore::EntryCount() const {
-  ReadGuard guard(lock_);
+  std::shared_lock guard(lock_);
   return entries_.size();
 }
 
 Result<std::vector<float>> DramStore::Peek(EntryId key) const {
-  ReadGuard guard(lock_);
+  std::shared_lock guard(lock_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return Status::NotFound("no such key");
   return std::vector<float>(it->second->data.begin(),

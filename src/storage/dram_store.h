@@ -3,6 +3,7 @@
 
 #include <array>
 #include <memory>
+#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -53,7 +54,7 @@ class DramStore final : public EmbeddingStore {
   EntryLayout layout_;
   ckpt::CheckpointLog* log_;  // not owned; may be null
 
-  mutable InstrumentedRwLock lock_;
+  mutable std::shared_mutex lock_;
   std::unordered_map<EntryId, std::unique_ptr<DramEntry>> entries_;
   std::unordered_set<EntryId> dirty_;  // modified since last checkpoint
 

@@ -184,7 +184,7 @@ uint64_t PipelinedStore::RunChunk(size_t shard, uint64_t batch,
   const Nanos chunk_start = WallNowNanos();
   {
     obs::ScopedSpan span("store", "maintenance_chunk");
-    WriteGuard guard(shards_[shard].lock);
+    std::unique_lock guard(shards_[shard].lock);
     ProcessChunkLocked(shard, batch, keys);
   }
   shard_maint_latency_[shard]->Record(
@@ -226,28 +226,20 @@ Status PipelinedStore::ForEachShardRead(const EntryId* keys, size_t n,
     shard_keys.resize(count);
     shard_slots.resize(count);
     for (size_t k = 0; k < count; ++k) shard_keys[k] = keys[pos[k]];
-    ReadGuard guard(shards_[s].lock);
+    std::shared_lock guard(shards_[s].lock);
     shards_[s].index.FindBatch(shard_keys.data(), count, shard_slots.data());
     OE_RETURN_IF_ERROR(fn(s, pos, shard_slots.data(), count));
   }
   return Status::OK();
 }
 
-bool PipelinedStore::CopyWeights(EntryId key,
-                                 const cache::AtomicTaggedPtr& slot,
+bool PipelinedStore::CopyWeights(const cache::AtomicTaggedPtr& slot,
                                  float* out) {
-  // Copy under the key's push stripe: lookahead-prefetch fills pull
-  // concurrently with pushes of *other* batches, and Push applies gradients
-  // to the entry data in place (or COW-remaps the PMem record) under this
-  // stripe. The stripe makes the copy atomic with respect to one Apply — a
-  // reader sees pre- or post-push values, never a torn mix; *which* of the
-  // two is resolved by the worker-side invalidation protocol. Lock order
-  // (shard lock -> push stripe) matches Push exactly. The slot is loaded
-  // under the stripe for the same reason Push loads it there: a concurrent
-  // COW may have remapped the record.
+  // The batch protocol (DESIGN.md §8a "Phases") never runs a pull of a key
+  // beside a push of it, so the entry data and the slot are stable without
+  // the key's push stripe. The shard read lock excludes eviction and every
+  // other structural change.
   const size_t weight_bytes = config_.dim * sizeof(float);
-  SpinLock& stripe = push_locks_[key % kPushShards];
-  stripe.lock();
   const TaggedPtr ptr = slot.load();
   const bool hit = ptr.is_dram();
   if (hit) {
@@ -258,7 +250,6 @@ bool PipelinedStore::CopyWeights(EntryId key,
     device_->Read(ptr.pmem_offset() + EntryLayout::kHeaderBytes, out,
                   weight_bytes);
   }
-  stripe.unlock();
   return hit;
 }
 
@@ -322,7 +313,7 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
             missing.push_back(i);
             continue;
           }
-          counters.Copied(CopyWeights(keys[i], *slots[k], out + i * dim),
+          counters.Copied(CopyWeights(*slots[k], out + i * dim),
                           weight_bytes);
           present.push_back(keys[i]);
         }
@@ -347,7 +338,7 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
       ++m_end;
     }
     Shard& sh = shards_[s];
-    WriteGuard guard(sh.lock);
+    std::unique_lock guard(sh.lock);
     for (size_t j = m; j < m_end; ++j) {
       const size_t i = missing[j];
       const EntryId key = keys[i];
@@ -355,8 +346,7 @@ Status PipelinedStore::Pull(const EntryId* keys, size_t n, uint64_t batch,
       if (slot != nullptr) {
         // Raced with another puller (or a duplicate earlier in this batch)
         // that created it; serve and count it like the read-locked pass.
-        counters.Copied(CopyWeights(key, *slot, out + i * dim),
-                        weight_bytes);
+        counters.Copied(CopyWeights(*slot, out + i * dim), weight_bytes);
       } else if (config_.cache_enabled) {
         CacheEntry* entry = CacheEntryLocked(s, key, batch, kNullOffset);
         counters.DramWrite(layout_.data_bytes());
@@ -759,7 +749,7 @@ template <typename Fn>
 size_t PipelinedStore::SumOverShards(Fn&& fn) const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    ReadGuard guard(shard.lock);
+    std::shared_lock guard(shard.lock);
     total += fn(shard);
   }
   return total;
@@ -775,7 +765,7 @@ size_t PipelinedStore::CachedEntries() const {
 
 bool PipelinedStore::IsDramCached(EntryId key) const {
   const Shard& sh = shards_[ShardOf(key)];
-  ReadGuard guard(sh.lock);
+  std::shared_lock guard(sh.lock);
   const cache::AtomicTaggedPtr* slot = sh.index.Find(key);
   return slot != nullptr && slot->load().is_dram();
 }
@@ -844,7 +834,7 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
 
 Result<std::vector<float>> PipelinedStore::Peek(EntryId key) const {
   const Shard& sh = shards_[ShardOf(key)];
-  ReadGuard guard(sh.lock);
+  std::shared_lock guard(sh.lock);
   const cache::AtomicTaggedPtr* slot = sh.index.Find(key);
   if (slot == nullptr) return Status::NotFound("no such key");
   std::vector<float> out(config_.dim);

@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -287,7 +288,7 @@ class PipelinedStore final : public EmbeddingStore {
   /// `staged`, which has its own leaf mutex so pullers staging accesses
   /// under the shard read lock do not race FinishPullPhase's seal.
   struct Shard {
-    mutable InstrumentedRwLock lock;
+    mutable std::shared_mutex lock;
     /// Key -> TaggedPtr index (see flat_index.h for the lock contract);
     /// replaced by a fresh one on recovery.
     FlatIndex index;
@@ -320,11 +321,11 @@ class PipelinedStore final : public EmbeddingStore {
   class AllShardsWriteLock {
    public:
     explicit AllShardsWriteLock(std::vector<Shard>& shards) : shards_(shards) {
-      for (Shard& shard : shards_) shard.lock.AcquireWrite();
+      for (Shard& shard : shards_) shard.lock.lock();
     }
     ~AllShardsWriteLock() {
       for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-        it->lock.ReleaseWrite();
+        it->lock.unlock();
       }
     }
     AllShardsWriteLock(const AllShardsWriteLock&) = delete;
@@ -364,11 +365,9 @@ class PipelinedStore final : public EmbeddingStore {
   /// path.
   class CallCounters;
 
-  /// Copies `key`'s weights from the record `slot` points at into `out`
-  /// under the key's push stripe and returns true for a DRAM cache hit.
-  /// Requires the shard's (read) lock.
-  bool CopyWeights(EntryId key, const cache::AtomicTaggedPtr& slot,
-                   float* out);
+  /// Copies the weights of the record `slot` points at into `out` and
+  /// returns true for a DRAM cache hit. Requires the shard's (read) lock.
+  bool CopyWeights(const cache::AtomicTaggedPtr& slot, float* out);
 
   /// Sums fn(shard) over the shards, each under its read lock.
   template <typename Fn>
@@ -530,10 +529,8 @@ class PipelinedStore final : public EmbeddingStore {
   // Locking protocol (see DESIGN.md §8): shards_[s].lock (shared for
   // Pull/Push, exclusive for maintenance/insertions; multi-shard operations
   // acquire shard locks in ascending index order) -> push_locks_ stripe
-  // (serializes writers of one key, and makes Pull's per-key data copy
-  // atomic against a concurrent in-place Apply/COW — required since
-  // lookahead-prefetch fills pull concurrently with other batches' pushes)
-  // -> ckpt_mutex_ / stage_mutex / maint leaf locks, never held while
+  // (serializes writers of one key; the batch protocol keeps pulls of a
+  // key out of its push phase) -> ckpt_mutex_ / stage_mutex / maint leaf locks, never held while
   // acquiring the others. Index slots are atomic so Pull may read them
   // under the shared lock while a pusher swaps a slot.
   std::vector<Shard> shards_;

@@ -64,7 +64,7 @@ Status PipelinedStore::WriteBack(WriteBackWork* work, bool background) {
       if (!may_run()) return Status::OK();
       obs::ScopedSpan span("store", "writeback");
       Shard& sh = shards_[s];
-      WriteGuard guard(sh.lock);
+      std::unique_lock guard(sh.lock);
       clean = true;
       size_t n = std::min(slice, budget);
       for (CacheEntry* entry = sh.dirty.Tail(); entry != nullptr;) {
@@ -227,13 +227,13 @@ Status PipelinedStore::RequestCheckpoint(uint64_t batch) {
   // chunk. Without a cache every update is already durable in PMem, so
   // each shard acknowledges now and the last one publishes.
   for (size_t s = 0; s < shards_.size(); ++s) {
+    std::unique_lock guard(shards_[s].lock, std::defer_lock);
     if (!config_.cache_enabled) {
-      shards_[s].lock.AcquireWrite();
-    } else if (!shards_[s].lock.TryAcquireWrite()) {
+      guard.lock();
+    } else if (!guard.try_lock()) {
       continue;
     }
     AckCheckpointsLocked(s);
-    shards_[s].lock.ReleaseWrite();
   }
   return Status::OK();
 }

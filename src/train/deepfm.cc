@@ -141,10 +141,6 @@ Status DeepFm::LoadDense(const std::vector<float>& parameters) {
   return mlp_->LoadParameters(mlp_params);
 }
 
-size_t DeepFm::DenseParameterCount() const {
-  return mlp_->ParameterCount() + 1;
-}
-
 double LogLoss(float label, float prediction) {
   const double p = std::clamp(static_cast<double>(prediction), 1e-7,
                               1.0 - 1e-7);

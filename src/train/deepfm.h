@@ -57,7 +57,6 @@ class DeepFm {
   Status LoadDense(const std::vector<float>& parameters);
 
   const DeepFmConfig& config() const { return config_; }
-  size_t DenseParameterCount() const;
 
  private:
   float ForwardOne(const workload::CtrExample& example,

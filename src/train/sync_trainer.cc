@@ -3,14 +3,20 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/clock.h"
 #include "common/logging.h"
-#include "common/sync.h"
 #include "obs/trace.h"
 
 namespace oe::train {
 
 using storage::EntryId;
+
+namespace {
+
+/// Crash/recover cycles TrainBatchesWithRecovery tolerates before giving up
+/// and returning the training error.
+constexpr int kMaxRecoveries = 3;
+
+}  // namespace
 
 SyncTrainer::SyncTrainer(ps::PsCluster* cluster,
                          const workload::CriteoSynthConfig& data_config,
@@ -28,22 +34,6 @@ SyncTrainer::SyncTrainer(ps::PsCluster* cluster,
     clients_.push_back(cluster->NewClient());
   }
   barrier_ = std::make_unique<Barrier>(config.workers);
-  if (config.lookahead_depth > 0) {
-    OE_CHECK(config.deterministic_data)
-        << "lookahead prefetch needs deterministic data (the oracle replays "
-           "the stream)";
-    oracle_ = std::make_unique<workload::LookaheadOracle>(
-        data_config, config.workers, config.batch_size);
-    prefetch_cache_ = std::make_unique<cache::PrefetchCache>(
-        config.model.embed_dim, config.prefetch_cache_entries);
-    prefetch_client_ = cluster->NewClient();
-    prefetcher_ = std::make_unique<Prefetcher>(prefetch_client_.get(),
-                                               oracle_.get(),
-                                               prefetch_cache_.get(),
-                                               config.lookahead_depth);
-    hit_rate_gauge_ =
-        obs::MetricsRegistry::Default().GetGauge("prefetch.hit_rate_bp");
-  }
 }
 
 Status SyncTrainer::TrainBatches(uint64_t num_batches) {
@@ -52,7 +42,6 @@ Status SyncTrainer::TrainBatches(uint64_t num_batches) {
     first_error_ = Status::OK();
   }
   const uint64_t first_batch = next_batch_;
-  if (prefetcher_) prefetcher_->Start(first_batch, first_batch + num_batches);
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(config_.workers));
   for (int w = 0; w < config_.workers; ++w) {
@@ -65,9 +54,6 @@ Status SyncTrainer::TrainBatches(uint64_t num_batches) {
     });
   }
   for (auto& t : threads) t.join();
-  // Quiesce before returning: callers may restart or crash-simulate the
-  // cluster next, and an in-flight fill RPC must not race that.
-  if (prefetcher_) prefetcher_->Pause();
   next_batch_ = first_batch + num_batches;
   std::lock_guard<std::mutex> lock(status_mutex_);
   return first_error_;
@@ -100,11 +86,6 @@ Status SyncTrainer::RunWorker(int worker, uint64_t first_batch,
     std::vector<EntryId> keys;
     std::vector<float> key_weights;
     if (status.ok() && !EpochFailed()) {
-      // Publish the frontier first: all pushes of batches < b completed
-      // (and invalidated their cache entries) before the barrier released
-      // this batch, so the planner may now fetch keys whose last writer
-      // was b - 1.
-      if (prefetcher_) prefetcher_->AdvanceTo(b);
       if (config_.deterministic_data) {
         // Batch content becomes a pure function of (worker, batch id), so
         // a rollback-and-replay regenerates exactly the original batches.
@@ -122,51 +103,7 @@ Status SyncTrainer::RunWorker(int worker, uint64_t first_batch,
       key_weights.resize(keys.size() * d);
       {
         obs::ScopedSpan span("train", "pull");
-        const Nanos pull_start = WallNowNanos();
-        if (prefetch_cache_ != nullptr) {
-          // Serve what the lookahead pipeline already fetched; pull only
-          // the misses synchronously (batch id b, exactly as depth 0
-          // would, so server-side staging/creation is unchanged).
-          std::vector<EntryId> miss_keys;
-          std::vector<size_t> miss_pos;
-          for (size_t i = 0; i < keys.size(); ++i) {
-            if (!prefetch_cache_->Lookup(keys[i],
-                                         key_weights.data() + i * d)) {
-              miss_keys.push_back(keys[i]);
-              miss_pos.push_back(i);
-            }
-          }
-          const uint64_t hits = keys.size() - miss_keys.size();
-          prefetch_hits_.fetch_add(hits, std::memory_order_relaxed);
-          prefetch_misses_.fetch_add(miss_keys.size(),
-                                     std::memory_order_relaxed);
-          const uint64_t total_hits =
-              prefetch_hits_.load(std::memory_order_relaxed);
-          const uint64_t total =
-              total_hits + prefetch_misses_.load(std::memory_order_relaxed);
-          if (total > 0 && hit_rate_gauge_ != nullptr) {
-            hit_rate_gauge_->Set(
-                static_cast<int64_t>(total_hits * 10000 / total));
-          }
-          status = Status::OK();
-          if (!miss_keys.empty()) {
-            std::vector<float> miss_weights(miss_keys.size() * d);
-            status = client.Pull(miss_keys.data(), miss_keys.size(), b,
-                                 miss_weights.data());
-            if (status.ok()) {
-              for (size_t m = 0; m < miss_pos.size(); ++m) {
-                std::copy_n(miss_weights.begin() + m * d, d,
-                            key_weights.begin() + miss_pos[m] * d);
-              }
-            }
-          }
-        } else {
-          status =
-              client.Pull(keys.data(), keys.size(), b, key_weights.data());
-        }
-        pull_ns_.fetch_add(
-            static_cast<uint64_t>(WallNowNanos() - pull_start),
-            std::memory_order_relaxed);
+        status = client.Pull(keys.data(), keys.size(), b, key_weights.data());
       }
       if (!status.ok()) NoteError(status);
     }
@@ -212,13 +149,9 @@ Status SyncTrainer::RunWorker(int worker, uint64_t first_batch,
       DeepFm::BatchResult result;
       {
         obs::ScopedSpan span("train", "compute");
-        const Nanos compute_start = WallNowNanos();
         std::lock_guard<std::mutex> lock(model_mutex_);
         result = model_->ForwardBackward(batch, embeddings.data(),
                                          embed_grads.data());
-        compute_ns_.fetch_add(
-            static_cast<uint64_t>(WallNowNanos() - compute_start),
-            std::memory_order_relaxed);
       }
 
       // Aggregate gradients per unique key and push.
@@ -234,21 +167,9 @@ Status SyncTrainer::RunWorker(int worker, uint64_t first_batch,
       }
       {
         obs::ScopedSpan span("train", "push");
-        const Nanos push_start = WallNowNanos();
         status = client.Push(keys.data(), keys.size(), key_grads.data(), b);
-        push_ns_.fetch_add(
-            static_cast<uint64_t>(WallNowNanos() - push_start),
-            std::memory_order_relaxed);
       }
       if (!status.ok()) NoteError(status);
-      if (prefetch_cache_ != nullptr) {
-        // Coherence point: the gradients for these keys are applied
-        // server-side (or the epoch is doomed and will roll back), so any
-        // cached pre-push value — resident or still in flight — must never
-        // be served again. This runs before the phase barrier, hence
-        // before any worker can pull batch b + 1.
-        prefetch_cache_->Invalidate(keys.data(), keys.size());
-      }
 
       {
         std::lock_guard<std::mutex> lock(metrics_mutex_);
@@ -316,7 +237,7 @@ Status SyncTrainer::TrainBatchesWithRecovery(uint64_t num_batches) {
     status = TrainBatches(end_batch - from);
     if (status.ok()) return status;
     if (!net::IsRetryable(status.code()) ||
-        recoveries >= config_.max_recoveries) {
+        recoveries >= kMaxRecoveries) {
       return status;
     }
     // A PS node died mid-epoch (retries exhausted). Bring every down node
@@ -330,20 +251,7 @@ Status SyncTrainer::TrainBatchesWithRecovery(uint64_t num_batches) {
   }
 }
 
-SyncTrainer::PhaseTotals SyncTrainer::phase_totals() const {
-  PhaseTotals totals;
-  totals.pull_ns = pull_ns_.load(std::memory_order_relaxed);
-  totals.compute_ns = compute_ns_.load(std::memory_order_relaxed);
-  totals.push_ns = push_ns_.load(std::memory_order_relaxed);
-  totals.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  totals.prefetch_misses = prefetch_misses_.load(std::memory_order_relaxed);
-  return totals;
-}
-
 Status SyncTrainer::RecoverAfterCrash() {
-  // The prefetch cache holds values from the future the rollback is about
-  // to erase; drop everything before replay starts.
-  if (prefetcher_) prefetcher_->Reset();
   OE_RETURN_IF_ERROR(clients_[0]->Recover());
   OE_ASSIGN_OR_RETURN(uint64_t checkpoint, clients_[0]->ClusterCheckpoint());
   if (checkpoint == 0) {

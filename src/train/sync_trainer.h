@@ -7,14 +7,10 @@
 #include <mutex>
 #include <vector>
 
-#include "cache/prefetch_cache.h"
 #include "common/sync.h"
-#include "obs/metrics.h"
 #include "ps/ps_cluster.h"
 #include "train/deepfm.h"
-#include "train/prefetcher.h"
 #include "workload/criteo.h"
-#include "workload/lookahead.h"
 
 namespace oe::train {
 
@@ -49,22 +45,6 @@ struct TrainerConfig {
   /// batches after a crash rollback are then bit-identical to the
   /// originals, the precondition for exactly-once-equivalent recovery.
   bool deterministic_data = false;
-  /// Crash/recover cycles TrainBatchesWithRecovery tolerates before giving
-  /// up and returning the training error.
-  int max_recoveries = 3;
-
-  /// BagPipe-style lookahead prefetch depth in batches (0 = off). With
-  /// depth N, a background pipeline enumerates the key sets of the next N
-  /// batches through the LookaheadOracle and pre-pulls the coherence-safe
-  /// subset into a worker-side PrefetchCache, so the pull phase only
-  /// synchronously fetches misses. Requires deterministic_data (the oracle
-  /// replays the data streams). Training results are unchanged: cached
-  /// values are exactly what the synchronous pull would have returned, and
-  /// pushes invalidate, so with one worker the run is bit-identical to
-  /// depth 0.
-  int lookahead_depth = 0;
-  /// Resident-entry cap of the prefetch cache (0 = unbounded).
-  size_t prefetch_cache_entries = 1 << 20;
 };
 
 class SyncTrainer {
@@ -81,7 +61,7 @@ class SyncTrainer {
   /// retries were exhausted), restarts every down node over its surviving
   /// device image, rolls the whole cluster back to the latest durable
   /// checkpoint (RecoverAfterCrash), and replays from there until the
-  /// originally requested batch count is reached — up to max_recoveries
+  /// originally requested batch count is reached — up to three recovery
   /// cycles. With durable_checkpoints + deterministic_data + one worker the
   /// recovered run is bit-identical to a fault-free one.
   Status TrainBatchesWithRecovery(uint64_t num_batches);
@@ -103,29 +83,8 @@ class SyncTrainer {
 
   /// After the cluster's devices crashed: recovers every PS shard to the
   /// latest cluster-wide checkpoint, restores the matching dense snapshot,
-  /// and rewinds next_batch() so training resumes right after it. With
-  /// prefetching on, also clears the prefetch cache — its entries reflect
-  /// the rolled-back future.
+  /// and rewinds next_batch() so training resumes right after it.
   Status RecoverAfterCrash();
-
-  /// Cumulative per-phase wall time summed over workers and batches, plus
-  /// the prefetch hit/miss split of the pull phase. pull_ns covers the
-  /// cache lookups and the synchronous pull of the misses — the number
-  /// bench_prefetch shows shrinking with lookahead_depth.
-  struct PhaseTotals {
-    uint64_t pull_ns = 0;
-    uint64_t compute_ns = 0;
-    uint64_t push_ns = 0;
-    uint64_t prefetch_hits = 0;
-    uint64_t prefetch_misses = 0;
-  };
-  PhaseTotals phase_totals() const;
-
-  /// Null when lookahead_depth == 0 (test hooks).
-  const Prefetcher* prefetcher() const { return prefetcher_.get(); }
-  const cache::PrefetchCache* prefetch_cache() const {
-    return prefetch_cache_.get();
-  }
 
  private:
   Status RunWorker(int worker, uint64_t first_batch, uint64_t num_batches);
@@ -147,21 +106,6 @@ class SyncTrainer {
   std::vector<uint64_t> data_seeds_;  // per-worker base seed (replay)
   std::vector<std::unique_ptr<ps::PsClient>> clients_;
   std::unique_ptr<Barrier> barrier_;
-
-  // Lookahead prefetch pipeline (all null when lookahead_depth == 0).
-  std::unique_ptr<workload::LookaheadOracle> oracle_;
-  std::unique_ptr<cache::PrefetchCache> prefetch_cache_;
-  std::unique_ptr<ps::PsClient> prefetch_client_;
-  std::unique_ptr<Prefetcher> prefetcher_;
-  obs::Gauge* hit_rate_gauge_ = nullptr;
-
-  // Phase-time totals (relaxed: summed across worker threads, read by
-  // phase_totals() after TrainBatches joined them).
-  std::atomic<uint64_t> pull_ns_{0};
-  std::atomic<uint64_t> compute_ns_{0};
-  std::atomic<uint64_t> push_ns_{0};
-  std::atomic<uint64_t> prefetch_hits_{0};
-  std::atomic<uint64_t> prefetch_misses_{0};
 
   // Atomic: progress() may be polled from a monitoring thread while
   // TrainBatches advances it.

@@ -34,12 +34,10 @@ struct CriteoSynthConfig {
   double ground_truth_scale = 0.8;
 };
 
-/// Seed-derivation helpers shared by SyncTrainer and LookaheadOracle. The
-/// trainer keys each worker's stream to WorkerSeed and repositions it per
-/// global batch with BatchSeed; the oracle mirrors the streams through the
-/// same two functions, so the key sets it predicts are — by construction,
-/// not by convention — exactly the ones the trainer will pull. Changing
-/// either constant is a format break for both (and for replay determinism).
+/// Seed derivation of SyncTrainer's data streams: each worker's stream is
+/// keyed to WorkerSeed and repositioned per global batch with BatchSeed, so
+/// a replayed batch regenerates exactly the original examples. Changing
+/// either constant changes every deterministic run.
 inline constexpr uint64_t WorkerSeed(uint64_t base_seed, int worker) {
   return base_seed + static_cast<uint64_t>(worker) * 7919;
 }

@@ -36,9 +36,6 @@ class BatchTraceGenerator {
 class TraceAnalyzer {
  public:
   void Record(storage::EntryId key) { ++frequency_[key]; }
-  void RecordBatch(const std::vector<storage::EntryId>& keys) {
-    for (auto key : keys) Record(key);
-  }
 
   uint64_t total_accesses() const;
   uint64_t distinct_keys() const { return frequency_.size(); }

@@ -271,20 +271,5 @@ TEST(SyncTest, BarrierReleasesAllAndElectsOneLeader) {
   EXPECT_EQ(leaders.load(), 5);  // exactly one leader per round
 }
 
-TEST(SyncTest, RwLockCountsAcquisitions) {
-  InstrumentedRwLock lock;
-  {
-    ReadGuard g(lock);
-  }
-  {
-    ReadGuard g(lock);
-  }
-  {
-    WriteGuard g(lock);
-  }
-  EXPECT_EQ(lock.read_acquisitions(), 2u);
-  EXPECT_EQ(lock.write_acquisitions(), 1u);
-}
-
 }  // namespace
 }  // namespace oe

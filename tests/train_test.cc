@@ -169,7 +169,8 @@ struct TrainSetup {
 };
 
 TrainSetup MakeTrainSetup(storage::StoreKind kind, int workers,
-                          uint64_t checkpoint_interval) {
+                          uint64_t checkpoint_interval,
+                          bool deterministic_data = false) {
   TrainSetup setup;
   ps::ClusterOptions options;
   options.num_nodes = 2;
@@ -191,6 +192,7 @@ TrainSetup MakeTrainSetup(storage::StoreKind kind, int workers,
   trainer_config.workers = workers;
   trainer_config.batch_size = 64;
   trainer_config.checkpoint_interval = checkpoint_interval;
+  trainer_config.deterministic_data = deterministic_data;
   trainer_config.model.num_fields = 8;
   trainer_config.model.dense_dim = 4;
   trainer_config.model.embed_dim = 8;
@@ -244,6 +246,21 @@ TEST(SyncTrainerTest, RecoveryWithoutCheckpointRestarts) {
   ASSERT_TRUE(setup.trainer->RecoverAfterCrash().ok());
   EXPECT_EQ(setup.trainer->next_batch(), 1u);
   ASSERT_TRUE(setup.trainer->TrainBatches(3).ok());
+}
+
+TEST(SyncTrainerTest, MultiWorkerDeterministicRunsAgree) {
+  // With deterministic data every batch's key set is a function of
+  // (worker, batch id), so two three-worker runs create the same entries.
+  // Their pushes interleave differently, which breaks float bit-identity
+  // but not the loss.
+  auto a = MakeTrainSetup(storage::StoreKind::kPipelined, 3, 0, true);
+  auto b = MakeTrainSetup(storage::StoreKind::kPipelined, 3, 0, true);
+  ASSERT_TRUE(a.trainer->TrainBatches(30).ok());
+  ASSERT_TRUE(b.trainer->TrainBatches(30).ok());
+  EXPECT_EQ(a.cluster->client().TotalEntries().ValueOrDie(),
+            b.cluster->client().TotalEntries().ValueOrDie());
+  EXPECT_NEAR(a.trainer->progress().mean_logloss,
+              b.trainer->progress().mean_logloss, 0.05);
 }
 
 TEST(SyncTrainerTest, FourWorkersMatchTwoWorkersRoughly) {
