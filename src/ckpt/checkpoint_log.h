@@ -66,8 +66,7 @@ class CheckpointLog {
   pmem::PmemDevice* device() { return device_; }
 
   /// Buffers consecutive entry records and appends them to a log in chunks
-  /// of kChunkRecords, every chunk tagged with one batch id (backups and
-  /// migration images).
+  /// of kChunkRecords, every chunk tagged with one batch id (backups).
   class ChunkWriter {
    public:
     static constexpr size_t kChunkRecords = 4096;

@@ -28,11 +28,12 @@ enum class StatusCode : uint8_t {
   /// The target is temporarily unreachable (node down, connection refused);
   /// the operation did not happen and is safe to retry.
   kUnavailable = 12,
-  /// A keyed PS request reached a node that does not own (or has sealed)
-  /// one of its keys under the current routing epoch. The request was
-  /// rejected wholesale — nothing was applied — so the client must refresh
-  /// its slot table and re-route. Deliberately NOT transport-retryable:
-  /// resending the same bytes to the same node cannot succeed.
+  /// A keyed PS request reached a node that does not own one of its keys
+  /// under the cluster's fixed route. The request was rejected wholesale —
+  /// nothing was applied. A client and a service disagreeing on the route
+  /// is a misconfiguration, so this is a hard error: NOT transport-
+  /// retryable, since resending the same bytes to the same node cannot
+  /// succeed.
   kWrongOwner = 13,
 };
 

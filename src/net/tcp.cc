@@ -346,7 +346,7 @@ Status TcpTransport::CallOnce(NodeId node, uint32_t method,
     const std::string msg(response->begin(), response->end());
     response->clear();
     // The frame tag is the remote status code (see ServeConnection), so a
-    // kWrongOwner redirect or a checkpoint rejection keeps its meaning, as
+    // kWrongOwner rejection or a checkpoint rejection keeps its meaning, as
     // over InProcTransport. A tag past the last known code is internal.
     const StatusCode remote =
         code <= static_cast<uint32_t>(StatusCode::kWrongOwner)

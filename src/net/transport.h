@@ -90,7 +90,7 @@ struct RpcOptions {
 /// backoff_initial_ms first, then backoff_multiplier times the previous
 /// sleep, capped at backoff_max_ms (both bounds at least 1 ms) and at
 /// `cap_ms` when that is positive. Transport::Call's retries and PsClient's
-/// route retries share this one sequence.
+/// MultiGet retries share this one sequence.
 void BackoffSleep(const RpcOptions& options, int retry, int64_t cap_ms = 0);
 
 /// True for transient transport failures worth re-attempting.

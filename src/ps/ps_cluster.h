@@ -2,7 +2,6 @@
 #define OE_PS_PS_CLUSTER_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "pmem/device.h"
 #include "ps/ps_client.h"
 #include "ps/ps_service.h"
+#include "ps/router.h"
 #include "storage/embedding_store.h"
 
 namespace oe::ps {
@@ -67,16 +67,12 @@ class PsCluster {
   /// Extra clients share the transport (one per training worker).
   std::unique_ptr<PsClient> NewClient();
 
-  /// Nodes ever provisioned (Init + AddNode), including drained and down
-  /// ones; node ids are [0, num_nodes()). The *active* membership lives in
-  /// the routing directory's current table.
-  uint32_t num_nodes() const { return num_nodes_; }
+  uint32_t num_nodes() const { return options_.num_nodes; }
   const ClusterOptions& options() const { return options_; }
 
-  /// The authoritative versioned slot table (epoch, slot → owner, active
-  /// node list). Services validate every keyed request against it; clients
-  /// cache snapshots and refresh after kWrongOwner. Never null after Init.
-  RoutingDirectory* directory() { return directory_.get(); }
+  /// The fixed key -> node route every service checks its requests
+  /// against (perfbench installs it on its own services by this name).
+  const Router* directory() const { return &router_; }
 
   storage::EmbeddingStore* store(uint32_t node) {
     return stores_[node].get();
@@ -112,7 +108,8 @@ class PsCluster {
   uint64_t TotalCacheMisses() const;
   uint64_t TotalSyncOps() const;  // Ori-Cache fine-grained sync points
 
-  std::nullptr_t placement() const { return nullptr; }  // perfbench stub
+  // Stays only for perfbench until ROADMAP item 1's contract change.
+  std::nullptr_t placement() const { return nullptr; }
 
   /// Power-cycles every simulated device (data loss per crash fidelity).
   void SimulateCrashAll();
@@ -139,42 +136,9 @@ class PsCluster {
   bool node_down(uint32_t node) const { return node_down_[node]; }
   std::vector<uint32_t> DownNodes() const;
 
-  // --- Elastic membership (live shard migration; DESIGN.md §11) ---
-
-  /// Provisions a fresh, empty PS node (devices, store, service, routing
-  /// checks) and publishes a new routing epoch whose active list includes
-  /// it — but which assigns it no slots yet; follow with MigrateSlots to
-  /// hand it load. Returns the new node id. Pipelined-store clusters only.
-  Result<uint32_t> AddNode();
-
-  /// Moves ownership of `slots` to `target` by snapshot-and-forward
-  /// migration, grouped by current owner. Per source node: seal the range
-  /// (drains in-flight handlers, rejects new pulls/pushes with
-  /// kWrongOwner), export the frozen image (<= checkpoint snapshot records
-  /// plus live heads), import it on the target, durably commit the
-  /// target's expanded slot ownership, publish epoch N+1, then shrink the
-  /// source's ownership, purge the handed-off range and unseal. A node
-  /// death observed at a migration phase hook aborts the migration and
-  /// rolls the target back to the pre-migration epoch's state (kAborted).
-  Status MigrateSlots(const std::vector<uint32_t>& slots, uint32_t target);
-
-  /// Scale-in: migrates every slot `node` owns round-robin to the other
-  /// active nodes, then publishes a final epoch with `node` removed from
-  /// the active list. The node stays registered (its id is not reused) but
-  /// owns nothing and receives no broadcasts.
-  Status DrainNode(uint32_t node);
-
-  /// Test hook invoked at named migration phases, in order: "sealed",
-  /// "exported", "imported" (target ownership committed), "published".
-  /// The hook may KillNode the source or target; the coordinator re-checks
-  /// liveness after each phase and aborts with rollback when a party died.
-  using MigrationHook = std::function<void(const std::string& phase)>;
-  void set_migration_hook(MigrationHook hook) {
-    migration_hook_ = std::move(hook);
-  }
-
  private:
-  explicit PsCluster(const ClusterOptions& options) : options_(options) {}
+  explicit PsCluster(const ClusterOptions& options)
+      : options_(options), router_(options.num_nodes) {}
   Status Init();
 
   /// Creates node `node`'s devices (crash seeds 1000+node / 2000+node),
@@ -188,31 +152,8 @@ class PsCluster {
   Result<std::unique_ptr<storage::EmbeddingStore>> BuildStore(uint32_t node,
                                                               bool fresh);
 
-  /// Migrates `slots` (all owned by `source` under the current table) to
-  /// `target`; the per-source leg of MigrateSlots.
-  Status MigrateFromSource(uint32_t source, std::vector<uint32_t> slots,
-                           uint32_t target);
-
-  /// Lazily writes `node`'s durable routing root from the current table
-  /// (no-op if one exists). Roots are only materialized on migration
-  /// participants, so never-migrated stores keep their legacy persist
-  /// behavior (no root → recovery keeps every record).
-  Status EnsureRoutingRoot(uint32_t node);
-  /// Durably records `node`'s slot ownership.
-  Status WriteRoutingRoot(uint32_t node, uint64_t epoch,
-                          const std::vector<bool>& owned);
-  /// Re-aligns a restarted node's durable ownership with the published
-  /// table: a crash mid-migration can leave its root claiming a range the
-  /// current epoch assigns elsewhere — rewrite the root and purge the
-  /// foreign records. No-op for stores without a routing root.
-  Status ReconcileOwnership(uint32_t node);
-
-  void NotifyMigrationPhase(const char* phase) {
-    if (migration_hook_) migration_hook_(phase);
-  }
-
   ClusterOptions options_;
-  uint32_t num_nodes_ = 0;
+  Router router_;
   std::vector<std::unique_ptr<pmem::PmemDevice>> pmem_devices_;
   std::vector<std::unique_ptr<pmem::PmemDevice>> log_devices_;
   std::vector<std::unique_ptr<ckpt::CheckpointLog>> logs_;
@@ -221,9 +162,7 @@ class PsCluster {
   std::vector<bool> node_down_;
   std::unique_ptr<net::InProcTransport> transport_;
   std::unique_ptr<net::FaultyTransport> faulty_;
-  std::unique_ptr<RoutingDirectory> directory_;
   std::unique_ptr<PsClient> client_;
-  MigrationHook migration_hook_;
 };
 
 }  // namespace oe::ps

@@ -8,7 +8,6 @@
 
 #include "common/clock.h"
 #include "obs/trace.h"
-#include "ps/slot_table.h"
 #include "storage/pipelined_store.h"
 
 namespace oe::ps {
@@ -72,13 +71,7 @@ Status PsService::Handle(uint32_t method, const uint8_t* request,
   RpcHeader header;
   OE_RETURN_IF_ERROR(reader.GetU64(&header.client_id));
   OE_RETURN_IF_ERROR(reader.GetU64(&header.seq));
-  OE_RETURN_IF_ERROR(reader.GetU64(&header.route_epoch));
 
-  // Dedup replay runs BEFORE any ownership check: a push that already
-  // applied here must replay its cached OK even after the key's slot
-  // migrated away — rejecting it with kWrongOwner would make the client
-  // re-route and apply the gradient a second time at the new owner (which
-  // imported the post-push state).
   const bool dedup = header.client_id != 0 && header.seq != 0 &&
                      IsMutatingMethod(static_cast<PsMethod>(method));
   if (dedup) {
@@ -96,16 +89,12 @@ Status PsService::Handle(uint32_t method, const uint8_t* request,
     }
   }
 
-  Status status = Dispatch(method, &reader, response, header);
+  Status status = Dispatch(method, &reader, response);
 
-  if (dedup && !status.IsWrongOwner()) {
+  if (dedup) {
     // Remember the outcome — errors too: re-executing a failed mutation
     // could succeed the second time and leave the client unsure how many
-    // times it applied. One seq, one execution, one answer. kWrongOwner is
-    // the exception: nothing was applied (the rejection is wholesale, before
-    // any store access), the client abandons the seq for a fresh one on
-    // re-route, and filling the FIFO window with dead rejections would
-    // evict the cached replies of mutations that actually ran.
+    // times it applied. One seq, one execution, one answer.
     std::lock_guard<std::mutex> lock(dedup_mutex_);
     ClientWindow& window = windows_[header.client_id];
     if (window.replies.emplace(header.seq, CachedReply{status, *response})
@@ -127,52 +116,28 @@ uint64_t PsService::DedupHits() const {
   return dedup_hits_;
 }
 
-void PsService::SealSlots(const std::vector<uint32_t>& slots) {
-  std::unique_lock<std::shared_mutex> lock(route_mutex_);
-  if (sealed_.empty()) sealed_.assign(storage::kNumRoutingSlots, false);
-  for (uint32_t slot : slots) {
-    if (slot < sealed_.size()) sealed_[slot] = true;
-  }
-}
-
-void PsService::UnsealSlots(const std::vector<uint32_t>& slots) {
-  std::unique_lock<std::shared_mutex> lock(route_mutex_);
-  if (sealed_.empty()) return;
-  for (uint32_t slot : slots) {
-    if (slot < sealed_.size()) sealed_[slot] = false;
-  }
-}
-
-Status PsService::CheckOwnership(const uint64_t* keys, size_t n,
-                                 bool check_seal,
-                                 const RpcHeader& header) const {
-  if (directory_ == nullptr) return Status::OK();
-  const std::shared_ptr<const SlotTable> table = directory_->Current();
+Status PsService::CheckOwnership(const uint64_t* keys, size_t n) const {
+  if (router_ == nullptr) return Status::OK();
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = keys[i];
-    const uint32_t slot = storage::SlotOfKey(key);
-    if (table->owners[slot] != node_id_ ||
-        (check_seal && !sealed_.empty() && sealed_[slot])) {
+    const net::NodeId owner = router_->NodeFor(keys[i]);
+    if (owner != node_id_) {
       wrong_owner_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return Status::WrongOwner(
-          "slot " + std::to_string(slot) + " (key " + std::to_string(key) +
-          ") not served by node " + std::to_string(node_id_) +
-          " at epoch " + std::to_string(table->epoch) +
-          " (request routed at epoch " + std::to_string(header.route_epoch) +
-          ")");
+      return Status::WrongOwner("key " + std::to_string(keys[i]) +
+                                " belongs to node " + std::to_string(owner) +
+                                ", not node " + std::to_string(node_id_));
     }
   }
   return Status::OK();
 }
 
 Status PsService::Dispatch(uint32_t method, Reader* reader,
-                           net::Buffer* response, const RpcHeader& header) {
+                           net::Buffer* response) {
   Writer writer(response);
   switch (static_cast<PsMethod>(method)) {
     case PsMethod::kPull:
-      return HandlePull(reader, response, header);
+      return HandlePull(reader, response);
     case PsMethod::kPush:
-      return HandlePush(reader, header);
+      return HandlePush(reader);
     case PsMethod::kFinishPull: {
       uint64_t batch = 0;
       OE_RETURN_IF_ERROR(reader->GetU64(&batch));
@@ -195,7 +160,7 @@ Status PsService::Dispatch(uint32_t method, Reader* reader,
       writer.PutU64(store_->PublishedCheckpoint());
       return Status::OK();
     case PsMethod::kPeek:
-      return HandlePeek(reader, response, header);
+      return HandlePeek(reader, response);
     case PsMethod::kWaitMaintenance: {
       uint64_t batch = 0;
       OE_RETURN_IF_ERROR(reader->GetU64(&batch));
@@ -209,24 +174,17 @@ Status PsService::Dispatch(uint32_t method, Reader* reader,
       return Status::OK();
     }
     case PsMethod::kMultiGet:
-      return HandleMultiGet(reader, response, header);
+      return HandleMultiGet(reader, response);
   }
   return Status::NotSupported("unknown method " + std::to_string(method));
 }
 
-Status PsService::HandlePull(Reader* reader, net::Buffer* response,
-                             const RpcHeader& header) {
+Status PsService::HandlePull(Reader* reader, net::Buffer* response) {
   uint64_t batch = 0;
   OE_RETURN_IF_ERROR(reader->GetU64(&batch));
   std::vector<uint64_t> keys;
   OE_RETURN_IF_ERROR(reader->GetU64Span(&keys));
-  // Held shared for the whole store access: SealSlots (exclusive) then
-  // doubles as the barrier that drains in-flight pulls before an export —
-  // a pull can materialize new entries, which must not slip past the
-  // migration snapshot.
-  std::shared_lock<std::shared_mutex> route_lock(route_mutex_);
-  OE_RETURN_IF_ERROR(
-      CheckOwnership(keys.data(), keys.size(), /*check_seal=*/true, header));
+  OE_RETURN_IF_ERROR(CheckOwnership(keys.data(), keys.size()));
   // The store copies the weights straight into the reply's float span. The
   // reply is cleared first, so the span starts 4 bytes into the buffer's
   // allocation: float-aligned.
@@ -242,11 +200,12 @@ Status PsService::HandlePull(Reader* reader, net::Buffer* response,
   return status;
 }
 
-Status PsService::HandlePush(Reader* reader, const RpcHeader& header) {
+Status PsService::HandlePush(Reader* reader) {
   uint64_t batch = 0;
   OE_RETURN_IF_ERROR(reader->GetU64(&batch));
   std::vector<uint64_t> keys;
   OE_RETURN_IF_ERROR(reader->GetU64Span(&keys));
+  OE_RETURN_IF_ERROR(CheckOwnership(keys.data(), keys.size()));
   Reader::SpanView span;
   OE_RETURN_IF_ERROR(reader->GetSpanView(sizeof(float), &span));
   if (span.count != keys.size() * store_->config().dim) {
@@ -262,26 +221,13 @@ Status PsService::HandlePush(Reader* reader, const RpcHeader& header) {
     std::memcpy(copy.data(), span.data, span.count * sizeof(float));
     grads = copy.data();
   }
-  // The wholesale check before any store access is what makes the client's
-  // re-route safe: a kWrongOwner push applied *none* of its gradients, so
-  // re-sending them all under a fresh seq cannot double-apply.
-  std::shared_lock<std::shared_mutex> route_lock(route_mutex_);
-  OE_RETURN_IF_ERROR(
-      CheckOwnership(keys.data(), keys.size(), /*check_seal=*/true, header));
   return store_->Push(keys.data(), keys.size(), grads, batch);
 }
 
-Status PsService::HandleMultiGet(Reader* reader, net::Buffer* response,
-                                 const RpcHeader& header) {
+Status PsService::HandleMultiGet(Reader* reader, net::Buffer* response) {
   std::vector<uint64_t> keys;
   OE_RETURN_IF_ERROR(reader->GetU64Span(&keys));
-  // Snapshot reads ignore seals (the published checkpoint a sealed slot
-  // serves cannot change under the reader) but still validate table
-  // ownership: after the publish the migrated range may be purged here, so
-  // a stale-routed read must redirect rather than miss.
-  std::shared_lock<std::shared_mutex> route_lock(route_mutex_);
-  OE_RETURN_IF_ERROR(
-      CheckOwnership(keys.data(), keys.size(), /*check_seal=*/false, header));
+  OE_RETURN_IF_ERROR(CheckOwnership(keys.data(), keys.size()));
   const size_t n = keys.size();
   const uint32_t dim = store_->config().dim;
   const size_t row_bytes = dim * sizeof(float);
@@ -346,13 +292,10 @@ Status PsService::HandleMultiGet(Reader* reader, net::Buffer* response,
   return Status::OK();
 }
 
-Status PsService::HandlePeek(Reader* reader, net::Buffer* response,
-                             const RpcHeader& header) {
+Status PsService::HandlePeek(Reader* reader, net::Buffer* response) {
   uint64_t key = 0;
   OE_RETURN_IF_ERROR(reader->GetU64(&key));
-  std::shared_lock<std::shared_mutex> route_lock(route_mutex_);
-  OE_RETURN_IF_ERROR(
-      CheckOwnership(&key, 1, /*check_seal=*/false, header));
+  OE_RETURN_IF_ERROR(CheckOwnership(&key, 1));
   OE_ASSIGN_OR_RETURN(std::vector<float> weights, store_->Peek(key));
   Writer writer(response);
   writer.PutFloatSpan(weights.data(), weights.size());

@@ -8,19 +8,16 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "net/message.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
+#include "ps/router.h"
 #include "ps/serving_cache.h"
 #include "storage/embedding_store.h"
 
 namespace oe::ps {
-
-class RoutingDirectory;
 
 /// RPC method ids understood by a PS node (the paper's PullWeights /
 /// PushGradients / UpdateWeights operator family).
@@ -46,22 +43,17 @@ enum class PsMethod : uint32_t {
   kMultiGet = 11,
 };
 
-/// Idempotency + routing header prepended to every PS request payload:
-///   [ client_id : u64 ][ seq : u64 ][ route_epoch : u64 ]
+/// Idempotency header prepended to every PS request payload:
+///   [ client_id : u64 ][ seq : u64 ]
 /// A client stamps each mutating operation with a unique monotonically
 /// increasing `seq`; the server remembers recent (client_id, seq) pairs and
 /// replays the recorded reply instead of re-executing, so a retry after a
 /// lost response (or a network-duplicated request) never double-applies a
 /// gradient. seq == 0 or client_id == 0 opts out of dedup — reads use it,
 /// since re-executing a read is harmless and caching its reply is not.
-/// `route_epoch` is the slot-table epoch the client routed under; the
-/// service validates keyed requests against the *live* table (not the
-/// header epoch), so the field is diagnostic — it names the stale epoch in
-/// kWrongOwner rejections.
 struct RpcHeader {
   uint64_t client_id = 0;
   uint64_t seq = 0;
-  uint64_t route_epoch = 0;
 };
 
 /// True for methods that change server state and therefore must not run
@@ -115,8 +107,8 @@ class PsService {
   /// Mutating requests short-circuited by the dedup window (for tests).
   uint64_t DedupHits() const;
 
-  /// Keyed requests rejected with kWrongOwner (stale routes bouncing off a
-  /// migrated or sealed slot; for tests asserting the retry path fired).
+  /// Keyed requests rejected with kWrongOwner: requests that named a key
+  /// another node owns.
   uint64_t WrongOwnerRejects() const {
     return wrong_owner_rejects_.load(std::memory_order_relaxed);
   }
@@ -132,29 +124,18 @@ class PsService {
   /// The serving cache, or nullptr when disabled.
   ServingCache* serving_cache() { return serving_cache_.get(); }
 
-  /// Enables slot-ownership validation: this service is node `node_id`, and
-  /// every keyed request (pull/push/peek/multi-get) is checked against
-  /// `directory`'s current slot table — a key whose slot this node does not
-  /// own is rejected wholesale with kWrongOwner *before* any store access.
-  /// With a null `directory` (the default) all checks are skipped — the
-  /// static-topology behavior direct-construction tests rely on.
-  /// Not thread-safe against in-flight handlers; call before traffic.
-  void ConfigureRouting(net::NodeId node_id, const RoutingDirectory* directory,
-                        std::nullptr_t = nullptr) {  // perfbench stub arg
+  /// Enables ownership checks: this service is node `node_id` of `router`,
+  /// and a keyed request (pull/push/peek/multi-get) naming any key the
+  /// router places on another node is rejected as a whole with kWrongOwner
+  /// before any store access. With a null `router` (the default) every key
+  /// is accepted, which direct-construction tests rely on. Call before
+  /// traffic. The third parameter stays only for perfbench until ROADMAP
+  /// item 1's contract change.
+  void ConfigureRouting(net::NodeId node_id, const Router* router,
+                        std::nullptr_t = nullptr) {
     node_id_ = node_id;
-    directory_ = directory;
+    router_ = router;
   }
-
-  /// Seals `slots` for migration: subsequent pulls/pushes touching a sealed
-  /// slot are rejected with kWrongOwner even while the table still names
-  /// this node as owner. Blocks until every in-flight keyed handler has
-  /// drained (they hold the route lock shared), so after SealSlots returns
-  /// no mutation of a sealed slot is still executing — the export that
-  /// follows reads a frozen range. Snapshot reads (peek/multi-get) are not
-  /// blocked by a seal: the published checkpoint they serve cannot change
-  /// under them, and ownership re-validation happens at publish.
-  void SealSlots(const std::vector<uint32_t>& slots);
-  void UnsealSlots(const std::vector<uint32_t>& slots);
 
  private:
   /// Replies remembered per client; evicted FIFO beyond this.
@@ -170,21 +151,15 @@ class PsService {
   };
 
   Status Dispatch(uint32_t method, net::Reader* reader,
-                  net::Buffer* response, const RpcHeader& header);
-  Status HandlePull(net::Reader* reader, net::Buffer* response,
-                    const RpcHeader& header);
-  Status HandlePush(net::Reader* reader, const RpcHeader& header);
-  Status HandlePeek(net::Reader* reader, net::Buffer* response,
-                    const RpcHeader& header);
-  Status HandleMultiGet(net::Reader* reader, net::Buffer* response,
-                        const RpcHeader& header);
+                  net::Buffer* response);
+  Status HandlePull(net::Reader* reader, net::Buffer* response);
+  Status HandlePush(net::Reader* reader);
+  Status HandlePeek(net::Reader* reader, net::Buffer* response);
+  Status HandleMultiGet(net::Reader* reader, net::Buffer* response);
 
-  /// Wholesale ownership check for a keyed request: OK only if *every* key
-  /// is accepted here (the table owner is this node and, when `check_seal`,
-  /// the slot is not sealed). Caller must hold route_mutex_ (shared). No-op
-  /// when routing is unconfigured.
-  Status CheckOwnership(const uint64_t* keys, size_t n, bool check_seal,
-                        const RpcHeader& header) const;
+  /// Ownership check for a keyed request: OK only if the router places
+  /// every key on this node. No-op when routing is unconfigured.
+  Status CheckOwnership(const uint64_t* keys, size_t n) const;
 
   /// Lazily registered "ps.handle_ns" distribution for `method`, labeled
   /// with this service's instance id. Lock-free after first use per method.
@@ -194,14 +169,7 @@ class PsService {
   std::unique_ptr<ServingCache> serving_cache_;
 
   net::NodeId node_id_ = 0;
-  const RoutingDirectory* directory_ = nullptr;
-  /// Keyed handlers hold this shared for their full execution; SealSlots /
-  /// UnsealSlots take it exclusively, which doubles as the in-flight
-  /// handler barrier a migration needs before exporting.
-  mutable std::shared_mutex route_mutex_;
-  /// Slots sealed for migration (guarded by route_mutex_). Lazily sized to
-  /// storage::kNumRoutingSlots on first seal; empty == nothing sealed.
-  std::vector<bool> sealed_;
+  const Router* router_ = nullptr;
 
   static constexpr size_t kMaxMethodId = 16;
   const uint64_t obs_id_ = obs::NextInstanceId();

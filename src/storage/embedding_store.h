@@ -80,7 +80,9 @@ struct StoreStats {
     uint64_t flushes = 0;
     uint64_t new_entries = 0;
     uint64_t checkpoints_published = 0;
-    uint64_t admission_rejects = 0;  // perfbench stub: always 0
+    // Always 0; stays only for perfbench until ROADMAP item 1's contract
+    // change.
+    uint64_t admission_rejects = 0;
 
     double HitRate() const {
       const uint64_t total = cache_hits + cache_misses;

@@ -12,24 +12,6 @@ using EntryId = uint64_t;
 
 inline constexpr uint64_t kNullOffset = ~0ULL;
 
-/// Number of routing slots in the cluster slot table. Keys hash into one of
-/// these slots; a slot table maps slot → owning node. 4096 slots over ≤64
-/// nodes keeps per-node ownership granular enough for balanced migration
-/// while the whole table (plus epoch) still fits in a single PMem record.
-inline constexpr uint32_t kNumRoutingSlots = 4096;
-
-/// Routing slot of a key. Uses the same 64-bit finalizer the original
-/// modulo Router used, so that for power-of-two node counts a round-robin
-/// slot table (slot i → node i % n) routes every key to exactly the node
-/// `hash % n` the legacy Router picked (4096 % n == 0 for n ∈ {1,2,4,...}).
-inline constexpr uint32_t SlotOfKey(EntryId key) {
-  uint64_t x = key;
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return static_cast<uint32_t>(x % kNumRoutingSlots);
-}
-
 /// Persistent embedding record layout, shared by every storage engine:
 ///
 ///   [ key : u64 | version : u64 | weights : f32[dim] | opt : f32[dim*slots] ]

@@ -789,10 +789,8 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
         for (size_t k = 0; k < count; ++k) {
           RecordGc::Record& ref = refs[k];
           ref.key = keys[pos[k]];
-          // No live slot: the key may still be readable at this snapshot —
-          // a purge after slot migration erases the index entry but parks
-          // the <= cp record for pinned readers, findable only through the
-          // GC. The copy below zero-fills when the key never existed at cp.
+          // No live slot: the key never existed here, the GC holds no
+          // record of it either, and the copy below zero-fills.
           if (slots[k] == nullptr) continue;
           const TaggedPtr ptr = slots[k]->load();
           if (ptr.is_dram()) {

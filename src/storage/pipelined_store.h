@@ -9,7 +9,6 @@
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/access_queue.h"
@@ -86,25 +85,22 @@ namespace oe::storage {
 /// those records is parked until their last reader releases.
 ///
 /// Checkpoint requests, the write-back passes and publication live in
-/// pipelined_store_ckpt.cc; migration, backup and recovery images (the
-/// routing root, Export/Import of checkpoints and slot ranges, the recovery
-/// scan) in pipelined_store_image.cc.
+/// pipelined_store_ckpt.cc; backup and recovery images (Export/Import of
+/// checkpoints, the recovery scan) in pipelined_store_image.cc.
 class PipelinedStore final : public EmbeddingStore {
  public:
   /// Pool root slot holding the Checkpointed Batch ID.
   static constexpr int kRootCheckpointId = 0;
   /// Pool type tags that older stores wrote and this one cannot read:
-  /// per-record pool allocations of entry records, and PMem bucket-index
-  /// extents. Entry records live in slab extents only, so Open rejects
-  /// an image holding either tag instead of recovering an empty model.
+  /// per-record pool allocations of entry records, PMem bucket-index
+  /// extents, and slot-ownership blobs of live migration (named by root
+  /// slot 1, which stays unused). Entry records live in slab extents only,
+  /// and a store that kept an ownership blob may hold records of a range it
+  /// handed off, so Open rejects an image holding any of these tags instead
+  /// of recovering a wrong model from it.
   static constexpr uint64_t kRetiredRecordTag = 0xE5;
   static constexpr uint64_t kRetiredIndexTag = 0xE6;
-  /// Pool root slot + type tag of the durable routing-ownership record
-  /// (see SetOwnedSlots). Written lazily: a store that never participated
-  /// in a migration has no routing root and recovers every record it finds
-  /// — the legacy single-owner behavior.
-  static constexpr int kRootRouting = 1;
-  static constexpr uint64_t kRouteTag = 0xE8;
+  static constexpr uint64_t kRetiredRouteTag = 0xE8;
 
   /// Formats `device` with a fresh pool and starts the maintainer threads.
   static Result<std::unique_ptr<PipelinedStore>> Create(
@@ -141,65 +137,6 @@ class PipelinedStore final : public EmbeddingStore {
   /// becomes the published checkpoint.
   Status ImportCheckpoint(const ckpt::CheckpointLog& log);
 
-  // --- Live shard migration (versioned slot routing; see DESIGN.md §11) ---
-
-  /// The durable routing-ownership record read back from the pool.
-  struct OwnedSlots {
-    bool present = false;  // false: no routing root was ever written
-    uint64_t epoch = 0;
-    std::vector<bool> owned;  // size kNumRoutingSlots when present
-  };
-
-  /// Durably records which routing slots this store owns as of routing
-  /// `epoch`. Two persist events: the record blob ("route-blob", via the
-  /// pool's kRouteTag protocol) and the failure-atomic root-slot store
-  /// ("route-root") — the root store is the commit point, so a crash
-  /// between them leaves the previous ownership in force. Recovery then discards any record whose key falls outside
-  /// the committed ownership: on a migration target this is what makes the
-  /// import atomic (imported records in not-yet-committed slots vanish),
-  /// and on a source it garbage-collects the handed-off range even if the
-  /// post-migration purge never ran.
-  Status SetOwnedSlots(uint64_t epoch, const std::vector<bool>& owned);
-
-  /// Reads the routing root back from the pool (recovery, tests, crash
-  /// harnesses). present == false when no root was ever committed;
-  /// Corruption when the root names no committed blob, the blob's extent
-  /// has the wrong length, or its slot count is not kNumRoutingSlots. Not
-  /// concurrent with SetOwnedSlots.
-  Result<OwnedSlots> ReadOwnedSlots() const;
-
-  /// Copies the migration image of `slots` into `log`: for every key in a
-  /// marked slot, the newest record at or below the published checkpoint — the snapshot the target
-  /// serves to MultiGet — plus the live head when it is newer (dirty DRAM
-  /// state is serialized as a record), so the target resumes training from
-  /// exactly the source's state. The caller must have sealed the range:
-  /// ExportRange takes every shard write lock but nothing stops a push
-  /// between export and routing publish except the seal. Requires a
-  /// published checkpoint on this store or an empty range.
-  Status ExportRange(const std::vector<bool>& slots, ckpt::CheckpointLog* log);
-
-  /// Merges a migration image into this (live) store. Keys already present
-  /// are skipped (an image re-delivered after a partial import); for new
-  /// keys the newest record lands in the index and an older snapshot
-  /// record is registered for snapshot readers. Persist site per record:
-  /// "migrate-entry". On success appends every imported key to `imported`
-  /// (for the coordinator's abort path) and raises the published
-  /// checkpoint to the image's batch id if it is ahead — a fresh scale-out
-  /// node must agree with the cluster's serving version immediately.
-  Status ImportRange(const ckpt::CheckpointLog& log,
-                     std::vector<EntryId>* imported);
-
-  /// Abort path: removes `keys` outright — index slots, DRAM cache entries
-  /// and their PMem records (parked while a pinned snapshot reader can
-  /// still reach them). Used to roll a half-imported range back off a
-  /// target.
-  Status RemoveKeys(const std::vector<EntryId>& keys);
-
-  /// Post-handoff cleanup on the source: drops every key of the marked
-  /// slots. Records a snapshot reader could still be pinned to are
-  /// deferred, newer ones freed; index entries are erased so the space is
-  /// reclaimed while the store keeps running.
-  Status PurgeSlots(const std::vector<bool>& slots);
   size_t EntryCount() const override;
   Result<std::vector<float>> Peek(EntryId key) const override;
 
@@ -495,28 +432,21 @@ class PipelinedStore final : public EmbeddingStore {
   /// checkpoint state reloaded from the root. Returns that checkpoint.
   Result<uint64_t> ResetLocked();
 
-  /// RecoverFromCrash's body: reopens the pool, sweeps orphan routing
-  /// blobs, resets, frees every record recovery discards and rebuilds the
-  /// indexes. Returns the recovered checkpoint.
+  /// RecoverFromCrash's body: reopens the pool, resets, frees every record
+  /// recovery discards and rebuilds the indexes. Returns the recovered
+  /// checkpoint.
   Result<uint64_t> RecoverLocked();
 
   /// Recovery's record classification (Section V-C), also the backup's
-  /// record set: scans every committed entry record and keeps, per key
-  /// that `route` covers, the newest record with version <= cp. Every
-  /// other record's offset is appended to `discard` when non-null.
+  /// record set: scans every committed entry record and keeps, per key,
+  /// the newest record with version <= cp. Every other record's offset is
+  /// appended to `discard` when non-null.
   std::unordered_map<EntryId, RecordGc::Record> ClassifyRecordsLocked(
-      uint64_t cp, const OwnedSlots& route,
-      std::vector<uint64_t>* discard) const;
+      uint64_t cp, std::vector<uint64_t>* discard) const;
 
   /// Classifies at `cp`, frees the discarded records and indexes the
   /// survivors. The indexes must be empty.
-  void RebuildIndexLocked(uint64_t cp, const OwnedSlots& route);
-
-  /// Shared core of RemoveKeys / PurgeSlots: unlinks every victim from its
-  /// index slot and DRAM cache (LRU / fresh bookkeeping included,
-  /// dirty state dropped) and hands its records to the GC, freeing what no
-  /// pinned reader can reach under persist site "migrate-gc".
-  void DropKeysLocked(const std::unordered_set<EntryId>& victims);
+  void RebuildIndexLocked(uint64_t cp);
 
   StoreConfig config_;
   EntryLayout layout_;
@@ -558,9 +488,6 @@ class PipelinedStore final : public EmbeddingStore {
   std::vector<uint64_t> shard_acked_;
   RecordGc gc_;
   std::atomic<uint64_t> published_ckpt_{0};
-  /// Payload bytes of the committed routing blob (0: none), for validating
-  /// the blob's decoded lengths.
-  std::atomic<uint64_t> route_bytes_{0};
 
   static constexpr size_t kPushShards = 256;
   std::array<SpinLock, kPushShards> push_locks_;

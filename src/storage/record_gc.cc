@@ -21,27 +21,6 @@ void RecordGc::Retire(const Record& record, uint64_t superseded_at,
   }
 }
 
-void RecordGc::Drop(const std::unordered_set<EntryId>& keys,
-                    const std::vector<Record>& heads,
-                    std::vector<uint64_t>* to_free) {
-  for (const Record& head : heads) Retire(head, kNever, kNever, to_free);
-  // Detach the keys' deferred records: without this, the publish that
-  // would have settled them later would double-free what is freed here.
-  for (auto it = deferred_.begin(); it != deferred_.end();) {
-    auto& records = it->second;
-    for (size_t i = 0; i < records.size();) {
-      if (keys.count(records[i].key) != 0) {
-        Settle(records[i], it->first, to_free);
-        records[i] = records.back();
-        records.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    it = records.empty() ? deferred_.erase(it) : ++it;
-  }
-}
-
 void RecordGc::Publish(uint64_t cp, std::vector<uint64_t>* to_free) {
   const auto end = deferred_.upper_bound(cp);
   for (auto it = deferred_.begin(); it != end; ++it) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "storage/entry_layout.h"
@@ -17,8 +16,8 @@ namespace oe::storage {
 ///
 /// A superseded PMem record is reachable by exactly the checkpoints in
 /// [version, superseded_at): its own header version up to (excluding) the
-/// version of the record that replaced it, or up to infinity for a key
-/// dropped by purge or abort. Every retired record takes one of three paths:
+/// version of the record that replaced it. Every retired record takes one
+/// of three paths:
 ///   - deferred: some not-yet-published checkpoint may still need it
 ///     (superseded_at > published); it waits for the publish of
 ///     superseded_at;
@@ -31,32 +30,23 @@ namespace oe::storage {
 /// disjoint (each ends where its successor begins), so each pinned
 /// checkpoint lies in at most one range per key. Hence at most one parked
 /// record per key per distinct pinned checkpoint, however the readers'
-/// pins overlap. (A key dropped and re-imported while a reader stays pinned
-/// starts a second chain and may park one more.)
+/// pins overlap.
 ///
 /// Not thread-safe: the owner serializes every call (PipelinedStore holds
 /// its ckpt_mutex_), and frees the returned offsets after releasing it.
 class RecordGc {
  public:
-  static constexpr uint64_t kNever = ~0ULL;
-
   struct Record {
     EntryId key;
     uint64_t offset;
     uint64_t version;  // the record's own header version
   };
 
-  /// `record` was superseded by a record of version `superseded_at`
-  /// (kNever: dropped). `published` is the current published checkpoint.
+  /// `record` was superseded by a record of version `superseded_at`.
+  /// `published` is the current published checkpoint.
   /// Appends the offset to `to_free` when nothing can reach the record.
   void Retire(const Record& record, uint64_t superseded_at,
               uint64_t published, std::vector<uint64_t>* to_free);
-
-  /// Drops `keys` outright: retires their live records `heads` with an
-  /// open range, and settles their deferred records now (no future
-  /// checkpoint of this store needs a dropped key).
-  void Drop(const std::unordered_set<EntryId>& keys,
-            const std::vector<Record>& heads, std::vector<uint64_t>* to_free);
 
   /// Checkpoint `cp` published: settles every record it superseded.
   void Publish(uint64_t cp, std::vector<uint64_t>* to_free);

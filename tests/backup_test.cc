@@ -196,55 +196,5 @@ TEST(RemoteBackupTest, LaterExportInSameLogOverridesEarlier) {
   expect_cp4_state();
 }
 
-// A backup holds exactly what recovery would restore. Between a routing
-// shrink and the purge of the handed-off slots the store still holds their
-// records, but recovery discards them; so must the backup, or a later
-// import brings back keys this node no longer owns.
-TEST(RemoteBackupTest, ExportMatchesRecoveryAfterRoutingShrink) {
-  EntryLayout layout(kDim, 0);
-  auto remote_device = MakeDevice(DeviceKind::kSsd);
-  auto remote =
-      CheckpointLog::Create(remote_device.get(), layout).ValueOrDie();
-  auto device = MakeDevice();
-  auto store = PipelinedStore::Create(SmallConfig(), device.get())
-                   .ValueOrDie();
-  std::vector<EntryId> keys(64);
-  std::iota(keys.begin(), keys.end(), 0);
-  TrainBatch(store.get(), 1, keys, 0.1f);
-  ASSERT_TRUE(store->RequestCheckpoint(1).ok());
-  ASSERT_TRUE(store->DrainCheckpoints().ok());
-
-  // Hand off every odd routing slot; no purge runs, so the store still
-  // holds those slots' records.
-  std::vector<bool> owned(kNumRoutingSlots);
-  for (uint32_t slot = 0; slot < kNumRoutingSlots; ++slot) {
-    owned[slot] = slot % 2 == 0;
-  }
-  ASSERT_TRUE(store->SetOwnedSlots(1, owned).ok());
-  ASSERT_EQ(store->EntryCount(), keys.size());
-  ASSERT_TRUE(store->ExportCheckpoint(remote.get()).ok());
-
-  auto restored_device = MakeDevice();
-  auto restored =
-      PipelinedStore::Create(SmallConfig(), restored_device.get())
-          .ValueOrDie();
-  ASSERT_TRUE(restored->ImportCheckpoint(*remote).ok());
-
-  device->SimulateCrash();
-  ASSERT_TRUE(store->RecoverFromCrash().ok());
-  ASSERT_GT(store->EntryCount(), 0u);
-  ASSERT_LT(store->EntryCount(), keys.size());  // the handoff is visible
-
-  EXPECT_EQ(restored->EntryCount(), store->EntryCount());
-  for (EntryId key : keys) {
-    auto recovered = store->Peek(key);
-    auto imported = restored->Peek(key);
-    ASSERT_EQ(imported.ok(), recovered.ok()) << "key " << key;
-    if (recovered.ok()) {
-      EXPECT_EQ(imported.value(), recovered.value());
-    }
-  }
-}
-
 }  // namespace
 }  // namespace oe::storage

@@ -186,7 +186,6 @@ TEST(PsServiceFuzzTest, TruncatedValidRequestsRejectedCleanly) {
   net::Writer writer(&good);
   writer.PutU64(7);  // header: client_id
   writer.PutU64(0);  // header: seq (read: no dedup)
-  writer.PutU64(0);  // header: route_epoch (diagnostic)
   writer.PutU64(1);
   std::vector<uint64_t> keys = {1, 2, 3};
   writer.PutU64Span(keys.data(), keys.size());
@@ -213,7 +212,6 @@ net::Buffer PushRequest(uint64_t batch, const std::vector<uint64_t>& keys,
   net::Writer writer(&request);
   writer.PutU64(7);
   writer.PutU64(0);
-  writer.PutU64(0);
   writer.PutU64(batch);
   writer.PutU64Span(keys.data(), keys.size());
   writer.PutU32(grad_count);
@@ -225,7 +223,6 @@ net::Buffer PullRequest(uint64_t batch, const std::vector<uint64_t>& keys) {
   net::Buffer request;
   net::Writer writer(&request);
   writer.PutU64(7);
-  writer.PutU64(0);
   writer.PutU64(0);
   writer.PutU64(batch);
   writer.PutU64Span(keys.data(), keys.size());

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "net/message.h"
 #include "net/transport.h"
 #include "ps/ps_cluster.h"
+#include "ps/router.h"
 
 namespace oe::ps {
 namespace {
@@ -44,6 +46,15 @@ TEST(RouterTest, Deterministic) {
   Router a(8), b(8);
   for (uint64_t key = 0; key < 100; ++key) {
     EXPECT_EQ(a.NodeFor(key), b.NodeFor(key));
+  }
+  // Slot s lives on node s % n, so for power-of-two n the route is the
+  // plain hash % n.
+  for (uint32_t n : {1u, 2u, 3u, 4u, 8u, 16u}) {
+    const Router router(n);
+    EXPECT_EQ(router.num_nodes(), n);
+    for (uint64_t key = 0; key < 4096; ++key) {
+      EXPECT_EQ(router.NodeFor(key), SlotOfKey(key) % n) << "n=" << n;
+    }
   }
 }
 
@@ -321,7 +332,7 @@ TEST(PsClientTest, WireTrafficMatchesFormat) {
     uint64_t sent = 0;
     uint64_t received = 0;
   };
-  constexpr uint64_t kHeader = 24;  // client id, seq, route epoch
+  constexpr uint64_t kHeader = 16;  // client id, seq
   constexpr uint64_t kRow = 4 * kSmallDim;
   auto keyed = [&](auto sent, auto received) {
     Traffic want;
@@ -385,41 +396,108 @@ TEST(PsClientTest, WireTrafficMatchesFormat) {
   expect("recover", broadcast(kHeader, 0), [&] { return client.Recover(); });
 }
 
-// A keyed operation re-routes a kWrongOwner rejection with backoff and
-// gives up with kUnavailable after a fixed attempt budget: 16 for Pull,
-// Push and Peek, 8 for MultiGet.
+// Pull, Push, Peek and MultiGet make one round against a node that answers
+// kWrongOwner: a client and a service that disagree on the fixed route is a
+// hard error, returned after exactly one call. MultiGet retries only while
+// the nodes disagree on the checkpoint they serve, for 8 attempts.
 TEST(PsClientTest, RouteRetryBudget) {
-  net::InProcTransport transport;
   net::RpcOptions rpc_options;
   rpc_options.backoff_max_ms = 1;
-  transport.set_rpc_options(rpc_options);
   std::atomic<int> calls{0};
-  transport.RegisterNode(
-      0, [&calls](uint32_t, const net::Buffer&, net::Buffer*) {
-        calls.fetch_add(1);
-        return Status::WrongOwner("always the wrong owner");
-      });
-  PsClient client(&transport, /*num_nodes=*/1, kDim);
-
-  const uint64_t key = 7;
   std::vector<float> row(kDim, 1.0f);
-  uint8_t found = 0;
+  uint8_t found[2] = {0, 0};
   uint64_t version = 0;
-  auto attempts = [&](auto call) {
+
+  net::InProcTransport wrong;
+  wrong.set_rpc_options(rpc_options);
+  wrong.RegisterNode(0, [&calls](uint32_t, const net::Buffer&, net::Buffer*) {
+    calls.fetch_add(1);
+    return Status::WrongOwner("always the wrong owner");
+  });
+  PsClient client(&wrong, /*num_nodes=*/1, kDim);
+  const uint64_t key = 7;
+  auto calls_until = [&](StatusCode want, auto call) {
     calls = 0;
     const Status status = call();
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+    EXPECT_EQ(status.code(), want) << status.ToString();
     return calls.load();
   };
-  EXPECT_EQ(attempts([&] { return client.Pull(&key, 1, 1, row.data()); }),
-            16);
-  EXPECT_EQ(attempts([&] { return client.Push(&key, 1, row.data(), 1); }),
-            16);
-  EXPECT_EQ(attempts([&] { return client.Peek(key).status(); }), 16);
-  EXPECT_EQ(attempts([&] {
-              return client.MultiGet(&key, 1, row.data(), &found, &version);
-            }),
-            8);
+  EXPECT_EQ(calls_until(StatusCode::kWrongOwner,
+                        [&] { return client.Pull(&key, 1, 1, row.data()); }),
+            1);
+  EXPECT_EQ(calls_until(StatusCode::kWrongOwner,
+                        [&] { return client.Push(&key, 1, row.data(), 1); }),
+            1);
+  EXPECT_EQ(calls_until(StatusCode::kWrongOwner,
+                        [&] { return client.Peek(key).status(); }),
+            1);
+  EXPECT_EQ(calls_until(StatusCode::kWrongOwner,
+                        [&] {
+                          return client.MultiGet(&key, 1, row.data(), found,
+                                                 &version);
+                        }),
+            1);
+
+  // Two nodes that always serve different checkpoints (node n serves
+  // n + 1): every attempt calls both, and MultiGet gives up after 8.
+  net::InProcTransport split;
+  split.set_rpc_options(rpc_options);
+  for (uint32_t node = 0; node < 2; ++node) {
+    split.RegisterNode(node, [&calls, node](uint32_t, const net::Buffer&,
+                                            net::Buffer* response) {
+      calls.fetch_add(1);
+      response->clear();
+      net::Writer writer(response);
+      writer.PutU64(node + 1);
+      writer.PutRaw("\x01", 1);  // the one key is found
+      const std::vector<float> weights(kDim, 0.0f);
+      writer.PutFloatSpan(weights.data(), weights.size());
+      return Status::OK();
+    });
+  }
+  PsClient two(&split, /*num_nodes=*/2, kDim);
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; keys.size() < 2; ++k) {
+    if (two.router().NodeFor(k) == keys.size()) keys.push_back(k);
+  }
+  std::vector<float> rows(2 * kDim);
+  EXPECT_EQ(calls_until(StatusCode::kUnavailable,
+                        [&] {
+                          return two.MultiGet(keys.data(), 2, rows.data(),
+                                              found, &version);
+                        }),
+            2 * 8);
+}
+
+// A service checks every key of a keyed request against the fixed route:
+// node 1, handed a pull that names a node-0 key, rejects the whole request
+// before any store access and counts the rejection.
+TEST(PsServiceTest, RejectsKeysOfAnotherNode) {
+  auto cluster =
+      PsCluster::Create(BaseOptions(StoreKind::kPipelined, 2)).ValueOrDie();
+  const Router& router = cluster->client().router();
+  uint64_t mine = 0;
+  while (router.NodeFor(mine) != 1) ++mine;
+  uint64_t theirs = 0;
+  while (router.NodeFor(theirs) != 0) ++theirs;
+
+  net::Buffer request;
+  net::Writer writer(&request);
+  writer.PutU64(0);  // header: client id (no dedup)
+  writer.PutU64(0);  // header: seq
+  writer.PutU64(1);  // batch
+  const std::vector<uint64_t> keys = {mine, theirs};
+  writer.PutU64Span(keys.data(), keys.size());
+
+  PsService* service = cluster->service(1);
+  net::Buffer response;
+  const Status status = service->Handle(
+      static_cast<uint32_t>(PsMethod::kPull), request, &response);
+  EXPECT_EQ(status.code(), StatusCode::kWrongOwner) << status.ToString();
+  EXPECT_EQ(service->WrongOwnerRejects(), 1u);
+  EXPECT_EQ(cluster->store(1)->EntryCount(), 0u);
+  EXPECT_EQ(cluster->store(1)->stats_snapshot().pull_keys, 0u);
+  EXPECT_TRUE(response.empty());
 }
 
 }  // namespace

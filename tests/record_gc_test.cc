@@ -84,45 +84,6 @@ TEST(RecordGcTest, PinnedReaderParksWhatItsCheckpointReaches) {
   EXPECT_EQ(gc.Records(), 0u);
 }
 
-TEST(RecordGcTest, DropWhilePinned) {
-  RecordGc gc;
-  std::vector<uint64_t> to_free;
-  gc.Pin(2);
-  // Key 7: v1 superseded at 4 (a pending checkpoint may need it), live v4.
-  // Key 8: live v1. Key 9 is not dropped.
-  gc.Retire({7, 10, 1}, 4, /*published=*/2, &to_free);
-  gc.Retire({9, 30, 1}, 4, /*published=*/2, &to_free);
-  ASSERT_TRUE(to_free.empty());
-  gc.Drop({7, 8}, {{7, 11, 4}, {8, 20, 1}}, &to_free);
-  // Key 7's head [4, inf) is beyond the pinned checkpoint: freed. Key 8's
-  // head [1, inf) and key 7's old record [1, 4) reach checkpoint 2: parked.
-  EXPECT_EQ(to_free, std::vector<uint64_t>{11});
-  EXPECT_EQ(gc.Parked(), 2u);
-  EXPECT_EQ(gc.RecordAt(7, 2), 10u);
-  EXPECT_EQ(gc.RecordAt(8, 2), 20u);
-
-  to_free.clear();
-  gc.Unpin(2, &to_free);
-  EXPECT_EQ(std::set<uint64_t>(to_free.begin(), to_free.end()),
-            (std::set<uint64_t>{10, 20}));
-  // The dropped key's deferred record left the publish queue with it; the
-  // kept key's record still waits for checkpoint 4.
-  EXPECT_EQ(gc.Records(), 1u);
-  to_free.clear();
-  gc.Publish(4, &to_free);
-  EXPECT_EQ(to_free, std::vector<uint64_t>{30});
-}
-
-TEST(RecordGcTest, DropWithoutPinsFreesEverything) {
-  RecordGc gc;
-  std::vector<uint64_t> to_free;
-  gc.Retire({7, 10, 1}, 4, /*published=*/2, &to_free);
-  gc.Drop({7}, {{7, 11, 4}}, &to_free);
-  EXPECT_EQ(std::set<uint64_t>(to_free.begin(), to_free.end()),
-            (std::set<uint64_t>{10, 11}));
-  EXPECT_EQ(gc.Records(), 0u);
-}
-
 // Readers whose pins overlap without ever all releasing: A pins 1, the
 // checkpoint advances, B pins 2, A releases, A pins 3, B releases, and so
 // on, while every key is rewritten (its record retired) at every step. The

@@ -10,11 +10,13 @@
 // dimension of every key — any torn read, any mix of two checkpoint
 // versions, and any stale-cache serve breaks the equality.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -378,7 +380,6 @@ MultiGetReply ServiceMultiGet(ps::PsService* service,
   net::Writer writer(&request);
   writer.PutU64(0);  // client id: reads opt out of dedup
   writer.PutU64(0);  // seq
-  writer.PutU64(0);  // route epoch
   writer.PutU64Span(keys.data(), keys.size());
   net::Buffer response;
   MultiGetReply reply;
@@ -592,6 +593,86 @@ TEST(ServingDefaultEngineTest, BaseClassMultiGetServesLiveValues) {
     EXPECT_EQ(out[1 * kDim + d], 0.0f);
     EXPECT_EQ(out[2 * kDim + d], -0.5f);
   }
+}
+
+// ---------- Node restart ----------
+
+/// A Pipelined-store cluster of `nodes` nodes, SGD at lr 0.1.
+ps::ClusterOptions ClusterCfg(uint32_t nodes) {
+  ps::ClusterOptions options;
+  options.num_nodes = nodes;
+  options.kind = storage::StoreKind::kPipelined;
+  options.store.dim = kDim;
+  options.store.optimizer.kind = storage::OptimizerKind::kSgd;
+  options.store.optimizer.learning_rate = 0.1f;
+  options.pmem_bytes_per_node = 16ULL << 20;
+  return options;
+}
+
+/// Trains batches [from, to] on `keys`: pull, finish-pull, then push the
+/// gradient 0.01 * batch to every key.
+Status TrainBatches(ps::PsClient* client, const std::vector<EntryId>& keys,
+                    uint64_t from, uint64_t to) {
+  std::vector<float> weights(keys.size() * kDim);
+  for (uint64_t batch = from; batch <= to; ++batch) {
+    OE_RETURN_IF_ERROR(
+        client->Pull(keys.data(), keys.size(), batch, weights.data()));
+    OE_RETURN_IF_ERROR(client->FinishPullPhase(batch));
+    std::vector<float> grads(keys.size() * kDim,
+                             0.01f * static_cast<float>(batch));
+    OE_RETURN_IF_ERROR(
+        client->Push(keys.data(), keys.size(), grads.data(), batch));
+  }
+  return Status::OK();
+}
+
+// A restarted node rebuilds its ServingCache: it comes back with a fresh,
+// empty cache in front of its recovered store, refills it from snapshot
+// reads, and the serving tier returns the identical snapshot.
+TEST(ElasticClusterTest, RestartedNodeRebuildsServingCache) {
+  ps::ClusterOptions options = ClusterCfg(4);
+  options.serving_cache_bytes = 32 << 10;
+  auto cluster = ps::PsCluster::Create(options).ValueOrDie();
+  std::vector<EntryId> keys(32);
+  std::iota(keys.begin(), keys.end(), 0);
+  ASSERT_TRUE(TrainBatches(&cluster->client(), keys, 1, 3).ok());
+  ASSERT_TRUE(cluster->client().RequestCheckpoint(3).ok());
+  ASSERT_TRUE(cluster->client().DrainCheckpoints().ok());
+  const uint32_t victim = cluster->client().router().NodeFor(0);
+
+  // Snapshot serving state before the crash; the read fills the caches.
+  std::vector<float> out(keys.size() * kDim);
+  std::vector<uint8_t> found(keys.size());
+  uint64_t cp = 0;
+  ASSERT_TRUE(cluster->client()
+                  .MultiGet(keys.data(), keys.size(), out.data(),
+                            found.data(), &cp)
+                  .ok());
+  ASSERT_EQ(cp, 3u);
+  const std::vector<float> serving_before = out;
+  ASSERT_GT(cluster->service(victim)->serving_cache()->entries(), 0u);
+
+  ASSERT_TRUE(cluster->KillNode(victim).ok());
+  ASSERT_TRUE(cluster->RestartNode(victim).ok());
+  ASSERT_TRUE(cluster->client().Recover().ok());
+
+  // The restarted node has a fresh serving cache in front of its store.
+  ASSERT_NE(cluster->service(victim), nullptr);
+  const ps::ServingCache* cache = cluster->service(victim)->serving_cache();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->entries(), 0u);
+
+  // The serving tier returns the identical snapshot and refills the cache.
+  std::fill(out.begin(), out.end(), -1.0f);
+  ASSERT_TRUE(cluster->client()
+                  .MultiGet(keys.data(), keys.size(), out.data(),
+                            found.data(), &cp)
+                  .ok());
+  EXPECT_EQ(cp, 3u);
+  EXPECT_EQ(out, serving_before);
+  EXPECT_GT(cache->entries(), 0u);
+  // Training resumes across the restarted node.
+  ASSERT_TRUE(TrainBatches(&cluster->client(), keys, 4, 5).ok());
 }
 
 }  // namespace

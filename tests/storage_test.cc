@@ -1021,12 +1021,6 @@ class DirtyListLifetimeTest : public PipelinedStoreTest {
       EXPECT_EQ(store_->Peek(key).ValueOrDie(), weights) << key;
     }
   }
-
-  static std::vector<bool> SlotsOf(const std::vector<EntryId>& keys) {
-    std::vector<bool> slots(kNumRoutingSlots, false);
-    for (EntryId key : keys) slots[SlotOfKey(key)] = true;
-    return slots;
-  }
 };
 
 TEST_F(DirtyListLifetimeTest, Eviction) {
@@ -1038,50 +1032,6 @@ TEST_F(DirtyListLifetimeTest, Eviction) {
   RunBatch(3, churn, 0.2f);
   EXPECT_GT(store_->stats().evictions.load(), capacity);
   FinishAndRecover(4, hot);
-}
-
-TEST_F(DirtyListLifetimeTest, RemoveKeys) {
-  const auto keys = Range(1, 60);
-  LeaveDirty(store_.get(), keys);
-  ASSERT_TRUE(store_->RemoveKeys(Range(1, 30)).ok());
-  FinishAndRecover(3, Range(31, 30));
-}
-
-TEST_F(DirtyListLifetimeTest, PurgeSlots) {
-  const auto keys = Range(1, 60);
-  LeaveDirty(store_.get(), keys);
-  ASSERT_TRUE(store_->PurgeSlots(SlotsOf(Range(1, 30))).ok());
-  std::vector<EntryId> kept;
-  for (EntryId key : keys) {
-    if (store_->Peek(key).ok()) kept.push_back(key);
-  }
-  EXPECT_LT(kept.size(), keys.size());
-  FinishAndRecover(3, kept);
-}
-
-TEST_F(DirtyListLifetimeTest, ImportRange) {
-  // The source publishes its range; the target imports it beside its own
-  // dirty entries and trains both.
-  auto source_device = MakeDevice();
-  auto source = PipelinedStore::Create(config_, source_device.get())
-                    .ValueOrDie();
-  const auto moved = Range(5000, 40);
-  LeaveDirty(source.get(), moved);
-  ASSERT_TRUE(source->DrainCheckpoints().ok());
-  auto log_device = MakeDevice();
-  auto log = ckpt::CheckpointLog::Create(log_device.get(),
-                                         EntryLayout(kDim, 0))
-                 .ValueOrDie();
-  ASSERT_TRUE(source->ExportRange(SlotsOf(moved), log.get()).ok());
-
-  const auto local = Range(1, 40);
-  LeaveDirty(store_.get(), local);
-  std::vector<EntryId> imported;
-  ASSERT_TRUE(store_->ImportRange(*log, &imported).ok());
-  EXPECT_EQ(imported.size(), moved.size());
-  std::vector<EntryId> all(local);
-  all.insert(all.end(), moved.begin(), moved.end());
-  FinishAndRecover(3, all);
 }
 
 TEST_F(DirtyListLifetimeTest, ImportCheckpoint) {
