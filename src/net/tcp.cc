@@ -4,8 +4,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -13,44 +15,45 @@
 namespace oe::net {
 namespace {
 
-Status ReadFully(int fd, void* data, size_t n, bool* got_bytes = nullptr) {
-  auto* p = static_cast<uint8_t*>(data);
+/// Frame header: the length word, then the method (requests) or the status
+/// code (responses).
+constexpr size_t kFrameHeaderBytes = 8;
+/// What a frame's first read takes at most: the header plus whatever of the
+/// body has already arrived. Serving replies and requests fit whole.
+constexpr size_t kFrameReadBytes = 4096;
+
+/// One read(2) of at most `n` bytes into `data`, retried on EINTR. Stores
+/// the byte count in `*got`; end of stream, a fired receive timeout and any
+/// other error each become a Status.
+Status ReadSome(int fd, void* data, size_t n, size_t* got) {
+  for (;;) {
+    const ssize_t r = ::read(fd, data, n);
+    if (r > 0) {
+      *got = static_cast<size_t>(r);
+      return Status::OK();
+    }
+    if (r == 0) return Status::IoError("connection closed");
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::TimedOut("read timed out");
+    }
+    return Status::IoError(std::string("read: ") + std::strerror(errno));
+  }
+}
+
+Status ReadFully(int fd, uint8_t* data, size_t n, bool* got_bytes) {
   size_t done = 0;
   while (done < n) {
-    const ssize_t r = ::read(fd, p + done, n - done);
-    if (r == 0) return Status::IoError("connection closed");
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::TimedOut("read timed out");
-      }
-      return Status::IoError(std::string("read: ") + std::strerror(errno));
-    }
-    done += static_cast<size_t>(r);
+    size_t got = 0;
+    OE_RETURN_IF_ERROR(ReadSome(fd, data + done, n - done, &got));
+    done += got;
     if (got_bytes != nullptr) *got_bytes = true;
   }
   return Status::OK();
 }
 
-Status WriteFully(int fd, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  size_t done = 0;
-  while (done < n) {
-    // MSG_NOSIGNAL: a peer closing mid-write must surface as EPIPE (an
-    // IoError Status), not a process-killing SIGPIPE.
-    const ssize_t r = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::TimedOut("send timed out");
-      }
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    done += static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
-
+/// Writes one frame, header and payload, with a single sendmsg when the
+/// socket takes it all, looping on partial sends.
 Status SendFrame(int fd, uint32_t tag, const uint8_t* payload, size_t n) {
   // Validate before writing a single byte: a payload over the receiver's
   // frame cap would only be rejected after a full (wasted) send, and one
@@ -61,34 +64,96 @@ Status SendFrame(int fd, uint32_t tag, const uint8_t* payload, size_t n) {
                                    std::to_string(kMaxFramePayloadBytes));
   }
   const uint32_t len = static_cast<uint32_t>(n) + 4;
-  uint8_t header[8];
+  uint8_t header[kFrameHeaderBytes];
   std::memcpy(header, &len, 4);
   std::memcpy(header + 4, &tag, 4);
-  OE_RETURN_IF_ERROR(WriteFully(fd, header, sizeof(header)));
-  if (n > 0) OE_RETURN_IF_ERROR(WriteFully(fd, payload, n));
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<uint8_t*>(payload), n}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = n > 0 ? 2 : 1;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer closing mid-write must surface as EPIPE (an
+    // IoError Status), not a process-killing SIGPIPE.
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::TimedOut("send timed out");
+      }
+      return Status::IoError(std::string("send: ") + std::strerror(errno));
+    }
+    // Drop what went out: whole iovecs, then the front of the next one.
+    size_t sent = static_cast<size_t>(r);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<uint8_t*>(msg.msg_iov->iov_base) +
+                              sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
   return Status::OK();
 }
 
-/// `got_bytes` (optional) is set once any response byte arrived — after
-/// that the request has definitely been processed, so a caller must not
-/// transparently re-send it on another connection.
-Status ReceiveFrame(int fd, uint32_t* tag, Buffer* payload,
-                    bool* got_bytes = nullptr) {
-  uint8_t header[8];
-  OE_RETURN_IF_ERROR(ReadFully(fd, header, sizeof(header), got_bytes));
-  uint32_t len = 0;
-  std::memcpy(&len, header, 4);
-  std::memcpy(tag, header + 4, 4);
-  if (len < 4 || len > kMaxFrameBytes) {
-    return Status::Corruption("bad frame length");
+/// Reads frames off one socket. A frame's first read takes its header and
+/// whatever of its body has already arrived into a small inline buffer;
+/// only the rest of a larger body is read straight into the payload. Bytes
+/// that arrived past a frame stay buffered for the next Receive.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  FrameReader(const FrameReader&) = delete;
+  FrameReader& operator=(const FrameReader&) = delete;
+
+  /// `got_bytes` (optional) is set once any byte of the frame arrived —
+  /// after that the request has definitely been processed, so a caller
+  /// must not transparently re-send it on another connection.
+  Status Receive(uint32_t* tag, Buffer* payload, bool* got_bytes = nullptr) {
+    if (buffered() < kFrameHeaderBytes) {
+      std::memmove(buf_, buf_ + begin_, buffered());
+      end_ -= begin_;
+      begin_ = 0;
+      while (end_ < kFrameHeaderBytes) {
+        size_t got = 0;
+        OE_RETURN_IF_ERROR(ReadSome(fd_, buf_ + end_, sizeof(buf_) - end_,
+                                    &got));
+        end_ += got;
+        if (got_bytes != nullptr) *got_bytes = true;
+      }
+    }
+    uint32_t len = 0;
+    std::memcpy(&len, buf_ + begin_, 4);
+    std::memcpy(tag, buf_ + begin_ + 4, 4);
+    begin_ += kFrameHeaderBytes;
+    if (len < 4 || len > kMaxFrameBytes) {
+      return Status::Corruption("bad frame length");
+    }
+    const size_t body = len - 4;
+    payload->resize(body);
+    const size_t have = std::min(body, buffered());
+    if (have > 0) std::memcpy(payload->data(), buf_ + begin_, have);
+    begin_ += have;
+    if (have < body) {
+      OE_RETURN_IF_ERROR(
+          ReadFully(fd_, payload->data() + have, body - have, got_bytes));
+    }
+    return Status::OK();
   }
-  payload->resize(len - 4);
-  if (len > 4) {
-    OE_RETURN_IF_ERROR(
-        ReadFully(fd, payload->data(), payload->size(), got_bytes));
-  }
-  return Status::OK();
-}
+
+  /// Bytes read past the last received frame.
+  size_t buffered() const { return end_ - begin_; }
+
+ private:
+  int fd_;
+  size_t begin_ = 0;  // unconsumed bytes are buf_[begin_, end_)
+  size_t end_ = 0;
+  uint8_t buf_[kFrameReadBytes] = {};
+};
 
 }  // namespace
 
@@ -179,9 +244,12 @@ void TcpServer::AcceptLoop() {
 void TcpServer::ServeConnection(uint64_t id, int fd) {
   Buffer request;
   Buffer response;
+  // Bytes a client sends past one request frame begin its next request, so
+  // the reader keeps them: a client may pipeline requests on a connection.
+  FrameReader reader(fd);
   while (!stopping_.load(std::memory_order_acquire)) {
     uint32_t method = 0;
-    if (!ReceiveFrame(fd, &method, &request).ok()) break;
+    if (!reader.Receive(&method, &request).ok()) break;
     response.clear();
     const Status status = handler_(method, request, &response);
     Status io;
@@ -293,54 +361,88 @@ void TcpTransport::CheckIn(Endpoint* endpoint, int fd) {
 
 Status TcpTransport::CallOnce(NodeId node, uint32_t method,
                               const Buffer& request, Buffer* response) {
-  Endpoint* endpoint = nullptr;
+  SentCall sent;
+  OE_RETURN_IF_ERROR(SendRequest(node, method, request, &sent));
+  return ReceiveReply(method, request, &sent, response);
+}
+
+void TcpTransport::FanOut(RpcCall* calls, size_t n) {
+  std::vector<SentCall> sent(n);
+  for (size_t i = 0; i < n; ++i) {
+    sent[i].start = WallNowNanos();
+    calls[i].status = SendRequest(calls[i].node, calls[i].method,
+                                  RequestOf(calls[i]), &sent[i]);
+  }
+  // Every request is out before the first reply is awaited, so the nodes
+  // serve them all at once while this thread reads the replies in order.
+  for (size_t i = 0; i < n; ++i) {
+    if (!calls[i].status.ok()) continue;
+    calls[i].status = ReceiveReply(calls[i].method, RequestOf(calls[i]),
+                                   &sent[i], calls[i].response);
+    if (calls[i].status.ok()) {
+      calls[i].status = FinishCall(calls[i].node, calls[i].method,
+                                   RequestOf(calls[i]), calls[i].response,
+                                   sent[i].start, Status::OK());
+    }
+  }
+  // Failed first attempts continue the retry policy last, so a backoff
+  // sleep does not delay reading the other calls' replies.
+  for (size_t i = 0; i < n; ++i) {
+    if (calls[i].status.ok()) continue;
+    calls[i].status = FinishCall(calls[i].node, calls[i].method,
+                                 RequestOf(calls[i]), calls[i].response,
+                                 sent[i].start, std::move(calls[i].status));
+  }
+}
+
+Status TcpTransport::SendRequest(NodeId node, uint32_t method,
+                                 const Buffer& request, SentCall* sent) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = endpoints_.find(node);
     if (it == endpoints_.end()) {
       return Status::NotFound("no such node: " + std::to_string(node));
     }
-    endpoint = it->second.get();
+    sent->endpoint = it->second.get();
   }
-  OE_ASSIGN_OR_RETURN(Connection conn, CheckOut(endpoint));
-
-  uint32_t code = 0;
-  bool got_bytes = false;
-  auto attempt = [&](int fd) {
-    got_bytes = false;
-    Status status = SendFrame(fd, method, request.data(), request.size());
-    if (status.ok()) status = ReceiveFrame(fd, &code, response, &got_bytes);
-    return status;
-  };
-
-  Status status = attempt(conn.fd);
+  OE_ASSIGN_OR_RETURN(sent->conn, CheckOut(sent->endpoint));
+  const Status status =
+      SendFrame(sent->conn.fd, method, request.data(), request.size());
+  if (status.ok()) return status;
   if (status.code() == StatusCode::kInvalidArgument) {
     // Length validation failed before any bytes hit the wire; the
     // connection is still clean.
-    CheckIn(endpoint, conn.fd);
+    CheckIn(sent->endpoint, sent->conn.fd);
     return status;
   }
-  if (!status.ok()) {
-    ::close(conn.fd);
-    // A pooled connection that failed before yielding a single response
-    // byte is most likely stale — the server restarted since we pooled it,
-    // so the request never reached a live peer. Drop every idle connection
-    // to that endpoint (they are all from the dead server) and re-send once
-    // on a freshly dialed socket. Failures after response bytes arrived, or
-    // on a fresh connection, propagate to the caller's retry policy.
-    if (!conn.pooled || got_bytes) return status;
-    InvalidatePool(endpoint);
-    auto redial = Dial(*endpoint);
-    if (!redial.ok()) return redial.status();
-    conn = Connection{std::move(redial).ValueOrDie(), /*pooled=*/false};
-    response->clear();
-    status = attempt(conn.fd);
-    if (!status.ok()) {
-      ::close(conn.fd);
-      return status;
+  ::close(sent->conn.fd);
+  if (!sent->conn.pooled) return status;
+  return Resend(method, request, sent);
+}
+
+Status TcpTransport::ReceiveReply(uint32_t method, const Buffer& request,
+                                  SentCall* sent, Buffer* response) {
+  uint32_t code = 0;
+  for (;;) {
+    bool got_bytes = false;
+    FrameReader reader(sent->conn.fd);
+    Status status = reader.Receive(&code, response, &got_bytes);
+    // One request gets one reply: anything more on the connection would
+    // be read as the reply of the next call that checks it out.
+    if (status.ok() && reader.buffered() != 0) {
+      status = Status::Corruption("bytes past the reply frame");
     }
+    if (status.ok()) break;
+    ::close(sent->conn.fd);
+    // A pooled connection that failed before yielding a single reply byte
+    // is most likely stale: the server restarted since it was pooled, so
+    // the request never reached a live peer. Failures after reply bytes
+    // arrived, or on a fresh connection, propagate to the retry policy.
+    if (!sent->conn.pooled || got_bytes) return status;
+    response->clear();
+    OE_RETURN_IF_ERROR(Resend(method, request, sent));
   }
-  CheckIn(endpoint, conn.fd);
+  CheckIn(sent->endpoint, sent->conn.fd);
   stats_.Record(request.size(), response->size());
   if (code != 0) {
     const std::string msg(response->begin(), response->end());
@@ -355,6 +457,17 @@ Status TcpTransport::CallOnce(NodeId node, uint32_t method,
     return Status::FromCode(remote, "remote error: " + msg);
   }
   return Status::OK();
+}
+
+Status TcpTransport::Resend(uint32_t method, const Buffer& request,
+                            SentCall* sent) {
+  // Every idle connection to the endpoint is from the dead server too.
+  InvalidatePool(sent->endpoint);
+  OE_ASSIGN_OR_RETURN(const int fd, Dial(*sent->endpoint));
+  sent->conn = Connection{fd, /*pooled=*/false};
+  const Status status = SendFrame(fd, method, request.data(), request.size());
+  if (!status.ok()) ::close(fd);
+  return status;
 }
 
 }  // namespace oe::net

@@ -24,7 +24,12 @@ inline constexpr size_t kMaxFramePayloadBytes = kMaxFrameBytes - 4;
 /// Blocking TCP RPC server for one PS node. Wire format (little endian):
 ///   request:  [ len : u32 ][ method : u32 ][ payload : len-4 bytes ]
 ///   response: [ len : u32 ][ status : u32 ][ payload : len-4 bytes ]
-/// A non-zero status carries the error message as payload.
+/// A non-zero status carries the error message as payload. Both ends write
+/// a frame with one sendmsg (header and payload as two iovecs) and read one
+/// with one read for the header and whatever body already arrived, plus
+/// reads straight into the payload for the rest. The server keeps bytes
+/// that arrive past a request frame as the start of the next request, so a
+/// client may pipeline requests on one connection.
 class TcpServer {
  public:
   /// Binds to 127.0.0.1:`port` (0 = ephemeral; see port()) and serves
@@ -67,13 +72,22 @@ class TcpServer {
 /// a small pool of cached connections, so concurrent calls to the same node
 /// (the ParallelCall fan-out, or several workers sharing one transport) run
 /// on distinct sockets instead of serializing behind a single connection.
-/// A pooled connection that turns out to be stale (the server restarted
-/// since it was pooled) is detected on first use — the whole idle pool for
-/// that endpoint is invalidated and the request re-sent once on a freshly
-/// dialed socket, so a server restart between calls is invisible to
-/// callers. Connection refusal maps to kUnavailable and, when an
-/// RpcOptions deadline is set, per-socket send/receive timeouts map hung
-/// peers to kTimedOut — both retryable by the Transport::Call policy.
+/// A fan-out runs on the calling thread and starts no thread: it checks out
+/// one connection per call and writes every request, then reads every reply
+/// in call order.
+///
+/// One attempt is a send step and a receive step; CallOnce is the two in a
+/// row and a fan-out runs all send steps before all receive steps. A pooled
+/// connection that turns out to be stale (the server restarted since it
+/// was pooled) is detected in either step — a failed send, or a receive
+/// that fails before any reply byte arrived. The whole idle pool for that
+/// endpoint is invalidated and the request re-sent once on a freshly dialed
+/// socket, so a server restart between calls is invisible to callers. A
+/// reply followed by further bytes closes the connection as Corruption.
+/// Connection refusal maps to kUnavailable and, when an RpcOptions deadline
+/// is set, per-socket send/receive timeouts map hung peers to kTimedOut —
+/// both retryable by the Transport::Call policy, which a fan-out call whose
+/// first attempt failed continues afterwards (Transport::FinishCall).
 class TcpTransport final : public Transport {
  public:
   ~TcpTransport() override;
@@ -83,6 +97,12 @@ class TcpTransport final : public Transport {
 
   Status CallOnce(NodeId node, uint32_t method, const Buffer& request,
                   Buffer* response) override;
+
+ protected:
+  /// All send steps, then all receive steps, on the calling thread; then
+  /// FinishCall per call, so each is retried, timed and counted as by a
+  /// blocking Call().
+  void FanOut(RpcCall* calls, size_t n) override;
 
  private:
   struct Endpoint {
@@ -99,9 +119,32 @@ class TcpTransport final : public Transport {
     bool pooled = false;
   };
 
+  /// One call between its send step and its receive step.
+  struct SentCall {
+    Endpoint* endpoint = nullptr;
+    Connection conn;  // the connection the request went out on
+    Nanos start = 0;  // when the call's first attempt began (fan-out only)
+  };
+
   /// Idle connections kept per node; calls beyond this run on short-lived
   /// extra sockets that close on check-in instead of pooling.
   static constexpr size_t kMaxIdleConnections = 8;
+
+  /// The send step: checks out a connection to `node` and writes the
+  /// request frame. An oversized request fails with InvalidArgument before
+  /// a byte is written and leaves the connection pooled; a pooled
+  /// connection that fails to send is stale (Resend).
+  Status SendRequest(NodeId node, uint32_t method, const Buffer& request,
+                     SentCall* sent);
+  /// The receive step: reads the reply frame on `sent`'s connection,
+  /// checks the connection back in, records NetStats and decodes a remote
+  /// status. A pooled connection that fails before any reply byte arrived
+  /// is stale (Resend), and the reply is read on the fresh one.
+  Status ReceiveReply(uint32_t method, const Buffer& request, SentCall* sent,
+                      Buffer* response);
+  /// The stale-connection rule's one re-send: drops the endpoint's idle
+  /// pool, dials a fresh connection into `sent` and writes the request.
+  Status Resend(uint32_t method, const Buffer& request, SentCall* sent);
 
   /// Pops an idle pooled connection or dials a new one.
   Result<Connection> CheckOut(Endpoint* endpoint);

@@ -66,22 +66,30 @@ void BackoffSleep(const RpcOptions& options, int retry, int64_t cap_ms) {
 
 Status Transport::Call(NodeId node, uint32_t method, const Buffer& request,
                        Buffer* response) {
-  obs::ScopedSpan span("net", "rpc");
-  const Nanos call_start = WallNowNanos();
-  Status status = CallWithRetries(node, method, request, response);
-  RpcLatencyFor(node)->Record(
-      static_cast<double>(WallNowNanos() - call_start));
+  const Nanos start = WallNowNanos();
+  return FinishCall(node, method, request, response, start,
+                    CallOnce(node, method, request, response));
+}
+
+Status Transport::FinishCall(NodeId node, uint32_t method,
+                             const Buffer& request, Buffer* response,
+                             Nanos start, Status first) {
+  Status status = CallWithRetries(node, method, request, response, start,
+                                  std::move(first));
+  const Nanos end = WallNowNanos();
+  RpcLatencyFor(node)->Record(static_cast<double>(end - start));
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Default();
+  if (recorder.enabled()) recorder.RecordSpan("net", "rpc", start, end - start);
   return status;
 }
 
 Status Transport::CallWithRetries(NodeId node, uint32_t method,
-                                  const Buffer& request, Buffer* response) {
+                                  const Buffer& request, Buffer* response,
+                                  Nanos start, Status status) {
   const RpcOptions& options = rpc_options_;
-  const Nanos start = WallNowNanos();
   const Nanos deadline =
       options.deadline_ms > 0 ? start + options.deadline_ms * 1'000'000 : 0;
   for (int attempt = 0;; ++attempt) {
-    Status status = CallOnce(node, method, request, response);
     if (status.code() == StatusCode::kTimedOut) {
       stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
     }
@@ -108,6 +116,7 @@ Status Transport::CallWithRetries(NodeId node, uint32_t method,
     }
     stats_.retries.fetch_add(1, std::memory_order_relaxed);
     response->clear();
+    status = CallOnce(node, method, request, response);
   }
 }
 
@@ -138,19 +147,23 @@ void Transport::CallAsync(NodeId node, uint32_t method, const Buffer& request,
   pool()->Submit([call = std::move(call)] { call->RunIfUnclaimed(); });
 }
 
-Status Transport::ParallelCall(RpcCall* calls, size_t n) {
+const Buffer& Transport::RequestOf(const RpcCall& call) {
   static const Buffer kEmptyRequest;
+  return call.request != nullptr ? *call.request : kEmptyRequest;
+}
+
+Status Transport::ParallelCall(RpcCall* calls, size_t n) {
   if (n == 0) return Status::OK();
-  auto request_of = [](const RpcCall& call) -> const Buffer& {
-    return call.request != nullptr ? *call.request : kEmptyRequest;
-  };
   if (n == 1) {
-    calls[0].status =
-        Call(calls[0].node, calls[0].method, request_of(calls[0]),
-             calls[0].response);
+    calls[0].status = Call(calls[0].node, calls[0].method,
+                           RequestOf(calls[0]), calls[0].response);
     return calls[0].status;
   }
+  FanOut(calls, n);
+  return AggregateCallErrors(calls, n);
+}
 
+void Transport::FanOut(RpcCall* calls, size_t n) {
   std::mutex mutex;
   std::condition_variable cv;
   size_t outstanding = n - 1;
@@ -164,7 +177,7 @@ Status Transport::ParallelCall(RpcCall* calls, size_t n) {
   t_claimable = &claimable;
   for (size_t i = 1; i < n; ++i) {
     RpcCall* call = &calls[i];
-    CallAsync(call->node, call->method, request_of(*call), call->response,
+    CallAsync(call->node, call->method, RequestOf(*call), call->response,
               [call, &mutex, &cv, &outstanding](Status status) {
                 call->status = std::move(status);
                 std::lock_guard<std::mutex> lock(mutex);
@@ -172,16 +185,13 @@ Status Transport::ParallelCall(RpcCall* calls, size_t n) {
               });
   }
   t_claimable = outer;
-  calls[0].status = Call(calls[0].node, calls[0].method, request_of(calls[0]),
+  calls[0].status = Call(calls[0].node, calls[0].method, RequestOf(calls[0]),
                          calls[0].response);
   for (const std::shared_ptr<AsyncCall>& call : claimable) {
     call->RunIfUnclaimed();
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return outstanding == 0; });
-  }
-  return AggregateCallErrors(calls, n);
+  std::unique_lock<std::mutex> lock(mutex);
+  cv.wait(lock, [&] { return outstanding == 0; });
 }
 
 Status Transport::AggregateCallErrors(const RpcCall* calls, size_t n) {

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "net/message.h"
@@ -153,12 +154,12 @@ class Transport {
   /// code of the first non-OK status in call order (deterministic
   /// regardless of completion order) and a message aggregating *every*
   /// failing node ("node 1: ...; node 3: ..."), so multi-node fault
-  /// schedules are debuggable from a single Status. The calling thread
-  /// serves calls[0] itself, so a single-call fan-out pays no thread
-  /// handoff. calls[1..n) go through CallAsync; afterwards the calling
-  /// thread claims and runs every one whose pool task has not started
-  /// (each call has one claim, taken once), so a fan-out never waits on a
-  /// busy pool. Returns only after every call has finished.
+  /// schedules are debuggable from a single Status. A single call runs as a
+  /// blocking Call() on the calling thread. Two or more go to the virtual
+  /// FanOut(), so a transport with a cheaper way to overlap its calls (see
+  /// TcpTransport) serves them its own way; whichever way runs, every call
+  /// is retried, timed and counted exactly as a blocking Call(). Returns
+  /// only after every call has finished.
   Status ParallelCall(RpcCall* calls, size_t n);
   Status ParallelCall(std::vector<RpcCall>* calls) {
     return ParallelCall(calls->data(), calls->size());
@@ -170,6 +171,27 @@ class Transport {
   static int FanOutPoolThreads();
 
  protected:
+  /// ParallelCall's body for n >= 2 calls: fills every RpcCall::status and
+  /// returns once all `n` finished. The base serves calls[0] on the calling
+  /// thread and submits calls[1..n) through CallAsync; afterwards the
+  /// calling thread claims and runs every one whose pool task has not
+  /// started (each call has one claim, taken once), so a fan-out never
+  /// waits on a busy pool.
+  virtual void FanOut(RpcCall* calls, size_t n);
+
+  /// A call's request, with an empty payload standing in for a null one.
+  static const Buffer& RequestOf(const RpcCall& call);
+
+  /// Completes a call that started at `start` and whose first attempt
+  /// (one CallOnce, or an override's equivalent) returned `first`. A
+  /// failure continues Call()'s retry policy from attempt 1, with the
+  /// deadline counted from `start`. Then records the call's net.rpc_ns
+  /// sample and net/rpc span, both from `start`. Call() is CallOnce
+  /// followed by this, so an override that splits the first attempt
+  /// across a fan-out retries, times and counts each call the same way.
+  Status FinishCall(NodeId node, uint32_t method, const Buffer& request,
+                    Buffer* response, Nanos start, Status first);
+
   /// Blocks until every outstanding CallAsync completion has run, by
   /// destroying the fan-out pool (which drains its queue first). Derived
   /// transports MUST call this at the top of their destructor: queued
@@ -186,10 +208,10 @@ class Transport {
   /// Folds per-call statuses into ParallelCall's aggregate return value.
   static Status AggregateCallErrors(const RpcCall* calls, size_t n);
 
-  /// Call() including the retry/backoff loop; Call() itself only wraps this
-  /// with the latency instrument and trace span.
+  /// The retry/backoff loop of FinishCall: `status` is the first
+  /// attempt's result and `start` the call's start.
   Status CallWithRetries(NodeId node, uint32_t method, const Buffer& request,
-                         Buffer* response);
+                         Buffer* response, Nanos start, Status status);
 
   /// Lazily registered "net.rpc_ns" distribution for `node`, labeled with
   /// this transport's instance id. Lock-free after first use per node;

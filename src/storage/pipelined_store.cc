@@ -785,13 +785,15 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
       keys, n,
       [&](size_t, const size_t* pos, cache::AtomicTaggedPtr* const* slots,
           size_t count) {
-        refs.assign(count, RecordGc::Record{0, kNullOffset, 0});
+        // Only keys with a live slot get a ref. A key without one never
+        // existed here: nothing but recovery erases index entries, and
+        // recovery clears the GC too, so it has no record at any
+        // checkpoint and ResolveSnapshot need not probe the GC for it.
+        refs.clear();
         for (size_t k = 0; k < count; ++k) {
-          RecordGc::Record& ref = refs[k];
-          ref.key = keys[pos[k]];
-          // No live slot: the key never existed here, the GC holds no
-          // record of it either, and the copy below zero-fills.
           if (slots[k] == nullptr) continue;
+          RecordGc::Record& ref =
+              refs.emplace_back(RecordGc::Record{keys[pos[k]], 0, 0});
           const TaggedPtr ptr = slots[k]->load();
           if (ptr.is_dram()) {
             // Only the entry's flushed-record fields are touched: they
@@ -813,12 +815,15 @@ Status PipelinedStore::MultiGet(const EntryId* keys, size_t n, float* out,
         }
         // Copies happen under the shard read lock and the snapshot pin.
         ResolveSnapshot(cp, &refs);
+        const RecordGc::Record* ref = refs.data();
         for (size_t k = 0; k < count; ++k) {
           const size_t i = pos[k];
-          found[i] = refs[k].offset != kNullOffset;
+          const uint64_t offset =
+              slots[k] != nullptr ? (ref++)->offset : kNullOffset;
+          found[i] = offset != kNullOffset;
           if (found[i]) {
-            device_->Read(refs[k].offset + EntryLayout::kHeaderBytes,
-                          out + i * dim, dim * sizeof(float));
+            device_->Read(offset + EntryLayout::kHeaderBytes, out + i * dim,
+                          dim * sizeof(float));
           } else {
             std::fill(out + i * dim, out + (i + 1) * dim, 0.0f);
           }

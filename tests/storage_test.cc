@@ -567,6 +567,59 @@ TEST_F(PipelinedStoreTest, SpaceReclaimedAfterPublish) {
   EXPECT_LE(store_->pool()->AllocatedBytes(), baseline * 3);
 }
 
+TEST_F(PipelinedStoreTest, MultiGetMixesUnknownKeysWithSnapshotReads) {
+  const size_t capacity = store_->CacheCapacityEntries();
+  std::vector<EntryId> known(capacity / 2);
+  std::iota(known.begin(), known.end(), 0);
+  RunBatch(1, known, 0.1f);
+  ASSERT_TRUE(store_->RequestCheckpoint(1).ok());
+  ASSERT_TRUE(store_->DrainCheckpoints().ok());
+  std::map<EntryId, std::vector<float>> at_checkpoint;
+  for (EntryId key : known) at_checkpoint[key] = store_->Peek(key).ValueOrDie();
+
+  // Batch 2 moves every known key past the checkpoint; fresh keys then
+  // evict them, so their flushed records are newer than checkpoint 1 and
+  // only the GC still holds the records it serves.
+  RunBatch(2, known, 0.3f);
+  EntryId next = 1000;
+  for (uint64_t batch = 3; batch <= 5; ++batch) {
+    std::vector<EntryId> fresh(capacity);
+    std::iota(fresh.begin(), fresh.end(), next);
+    next += capacity;
+    RunBatch(batch, fresh, 0.0f);
+  }
+  store_->WaitMaintenance(5);
+  ASSERT_EQ(store_->PublishedCheckpoint(), 1u);
+  ASSERT_GT(store_->SnapshotIndexRecords(), 0u);
+
+  // Every known key sits between two keys the store has never seen.
+  std::vector<EntryId> keys;
+  for (EntryId key : known) {
+    keys.push_back(1'000'000 + 2 * key);
+    keys.push_back(key);
+  }
+  keys.push_back(1'000'000 + 2 * known.size());
+  std::vector<float> out(keys.size() * kDim, -1.0f);
+  std::vector<uint8_t> found(keys.size(), 2);
+  uint64_t version = 0;
+  ASSERT_TRUE(store_->MultiGet(keys.data(), keys.size(), out.data(),
+                               found.data(), &version)
+                  .ok());
+  EXPECT_EQ(version, 1u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::vector<float> row(out.begin() + i * kDim,
+                                 out.begin() + (i + 1) * kDim);
+    auto expected = at_checkpoint.find(keys[i]);
+    if (expected == at_checkpoint.end()) {
+      EXPECT_EQ(found[i], 0) << "key " << keys[i];
+      EXPECT_EQ(row, std::vector<float>(kDim, 0.0f)) << "key " << keys[i];
+    } else {
+      EXPECT_EQ(found[i], 1) << "key " << keys[i];
+      EXPECT_EQ(row, expected->second) << "key " << keys[i];
+    }
+  }
+}
+
 TEST(PipelinedStoreCounterTest, PullAndPushCountEveryKeyExactly) {
   // AdaGrad, so an entry's DRAM footprint (weights + accumulator) differs
   // from the weights a pull copies out.
