@@ -160,8 +160,8 @@ void FlatIndex::FindBatch(const EntryId* keys, size_t n,
   }
 }
 
-cache::AtomicTaggedPtr* FlatIndex::Upsert(EntryId key,
-                                          cache::TaggedPtr value) {
+std::pair<cache::AtomicTaggedPtr*, bool> FlatIndex::Insert(
+    EntryId key, cache::TaggedPtr value) {
   if ((used_ + 1) * 8 > capacity_ * 7) Rehash(capacity_ * 2);
   const uint64_t h = Mix(key);
   const uint8_t fp = Fingerprint(h);
@@ -178,10 +178,7 @@ cache::AtomicTaggedPtr* FlatIndex::Upsert(EntryId key,
         const size_t slot = c * kChunkSlots +
                             static_cast<size_t>(half) * 8 +
                             static_cast<size_t>(__builtin_ctzll(m) >> 3);
-        if (slots_[slot].key == key) {
-          slots_[slot].value.store(value);
-          return &slots_[slot].value;
-        }
+        if (slots_[slot].key == key) return {&slots_[slot].value, false};
         m &= m - 1;
       }
     }
@@ -211,7 +208,7 @@ cache::AtomicTaggedPtr* FlatIndex::Upsert(EntryId key,
   slots_[insert_slot].key = key;
   slots_[insert_slot].value.store(value);
   ++size_;
-  return &slots_[insert_slot].value;
+  return {&slots_[insert_slot].value, true};
 }
 
 bool FlatIndex::Erase(EntryId key) {
@@ -244,32 +241,6 @@ void FlatIndex::ForEach(
   }
 }
 
-void FlatIndex::InsertFresh(EntryId key, cache::TaggedPtr value) {
-  const uint64_t h = Mix(key);
-  const size_t chunks = capacity_ / kChunkSlots;
-  size_t c = ChunkIndex(h, chunks);
-  for (;;) {
-    const uint8_t* tags = tags_.data() + c * kChunkSlots;
-    uint64_t words[2];
-    std::memcpy(words, tags, sizeof(words));
-    const uint64_t e0 = MatchByte(words[0], kEmpty);
-    const uint64_t e1 = MatchByte(words[1], kEmpty);
-    if ((e0 | e1) != 0) {
-      const size_t slot =
-          c * kChunkSlots +
-          (e0 != 0 ? static_cast<size_t>(__builtin_ctzll(e0) >> 3)
-                   : 8 + static_cast<size_t>(__builtin_ctzll(e1) >> 3));
-      tags_[slot] = Fingerprint(h);
-      slots_[slot].key = key;
-      slots_[slot].value.store(value);
-      ++size_;
-      ++used_;
-      return;
-    }
-    c = (c + 1) & (chunks - 1);
-  }
-}
-
 void FlatIndex::Rehash(size_t new_slots) {
   std::vector<uint8_t> old_tags = std::move(tags_);
   std::vector<Slot> old_slots = std::move(slots_);
@@ -281,9 +252,8 @@ void FlatIndex::Rehash(size_t new_slots) {
   size_ = 0;
   used_ = 0;
   for (size_t i = 0; i < old_capacity; ++i) {
-    if (old_tags[i] & 0x80) {
-      InsertFresh(old_slots[i].key, old_slots[i].value.load());
-    }
+    // No tombstones yet, so each key lands on its chain's first empty slot.
+    if (old_tags[i] & 0x80) Insert(old_slots[i].key, old_slots[i].value.load());
   }
 }
 

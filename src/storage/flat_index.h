@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "cache/tagged_ptr.h"
@@ -18,9 +19,9 @@ namespace oe::storage {
 /// index with its shard RW lock):
 ///   - Find / FindBatch / Size / ForEach require at least the shard *read*
 ///     lock.
-///   - Upsert / Erase / Clear / Reserve require the shard *write* lock.
-/// Returned slot pointers stay valid until the next Upsert/Erase/Clear on
-/// the same index — mutations need the write lock, which excludes every
+///   - Upsert / Insert / Erase / Clear / Reserve need the shard *write* lock.
+/// Returned slot pointers stay valid until the next mutation of the same
+/// index — mutations need the write lock, which excludes every
 /// reader still holding a slot pointer. The slots themselves are atomics:
 /// the push path stores through a slot while concurrent readers (shared
 /// lock only) load it, and that 8-byte exchange must be tear-free.
@@ -55,7 +56,16 @@ class FlatIndex {
 
   /// Inserts or updates `key` and returns its slot (never null: the table
   /// grows instead of filling up).
-  cache::AtomicTaggedPtr* Upsert(EntryId key, cache::TaggedPtr value);
+  cache::AtomicTaggedPtr* Upsert(EntryId key, cache::TaggedPtr value) {
+    auto [slot, inserted] = Insert(key, value);
+    if (!inserted) slot->store(value);
+    return slot;
+  }
+
+  /// Inserts `key` only if absent: returns its slot and whether it was
+  /// inserted. A present key keeps its value.
+  std::pair<cache::AtomicTaggedPtr*, bool> Insert(EntryId key,
+                                                  cache::TaggedPtr value);
 
   /// Removes `key`; false if absent.
   bool Erase(EntryId key);
@@ -87,8 +97,6 @@ class FlatIndex {
   size_t FindSlot(EntryId key) const;
   /// Rehashes into `new_slots` capacity (power of two, >= kInitialSlots).
   void Rehash(size_t new_slots);
-  /// Inserts a key known to be absent into a table with no tombstones.
-  void InsertFresh(EntryId key, cache::TaggedPtr value);
 
   std::vector<uint8_t> tags_;  // capacity_ bytes, chunk-contiguous
   std::vector<Slot> slots_;    // parallel to tags_

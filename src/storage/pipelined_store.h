@@ -438,14 +438,15 @@ class PipelinedStore final : public EmbeddingStore {
   Result<uint64_t> RecoverLocked();
 
   /// Recovery's record classification (Section V-C), also the backup's
-  /// record set: scans every committed entry record and keeps, per key,
-  /// the newest record with version <= cp. Every other record's offset is
-  /// appended to `discard` when non-null.
-  std::unordered_map<EntryId, RecordGc::Record> ClassifyRecordsLocked(
+  /// record set: one scan of every committed entry record indexes, per
+  /// key, the newest record with version <= cp into index[ShardOf(key)]; a
+  /// key met again re-reads the kept record's version from its header.
+  /// Every other record's offset is appended to `discard` when non-null.
+  std::vector<FlatIndex> ClassifyRecordsLocked(
       uint64_t cp, std::vector<uint64_t>* discard) const;
 
-  /// Classifies at `cp`, frees the discarded records and indexes the
-  /// survivors. The indexes must be empty.
+  /// Classifies at `cp`, frees the discarded records and adopts the
+  /// classification's indexes. The indexes must be empty.
   void RebuildIndexLocked(uint64_t cp);
 
   StoreConfig config_;

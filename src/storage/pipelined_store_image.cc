@@ -82,10 +82,13 @@ Result<uint64_t> PipelinedStore::RecoverLocked() {
   return cp;
 }
 
-std::unordered_map<EntryId, RecordGc::Record>
-PipelinedStore::ClassifyRecordsLocked(uint64_t cp,
-                                      std::vector<uint64_t>* discard) const {
-  std::unordered_map<EntryId, RecordGc::Record> best;
+std::vector<FlatIndex> PipelinedStore::ClassifyRecordsLocked(
+    uint64_t cp, std::vector<uint64_t>* discard) const {
+  // Each index is reserved for its shard's share of the committed records.
+  std::vector<FlatIndex> index(shards_.size());
+  const uint64_t records = slab_->AllocatedBytes() / layout_.record_bytes();
+  for (FlatIndex& shard : index) shard.Reserve(records / index.size());
+  uint64_t header_reads = 0;
   auto drop = [discard](uint64_t offset) {
     if (discard != nullptr) discard->push_back(offset);
   };
@@ -95,47 +98,45 @@ PipelinedStore::ClassifyRecordsLocked(uint64_t cp,
       return;
     }
     const uint8_t* record = pool_->Translate(offset);
-    device_->ChargeRead(EntryLayout::kHeaderBytes);
+    ++header_reads;
     const EntryId key = EntryLayout::RecordKey(record);
     const uint64_t version = EntryLayout::RecordVersion(record);
     if (version > cp) {
       drop(offset);
       return;
     }
-    const RecordGc::Record found{key, offset, version};
-    auto [it, inserted] = best.try_emplace(key, found);
+    auto [slot, inserted] =
+        index[ShardOf(key)].Insert(key, TaggedPtr::FromPmem(offset));
     if (inserted) return;
-    if (version > it->second.version) {
-      drop(it->second.offset);
-      it->second = found;
+    // A second record <= cp of one key: re-read the kept one's version.
+    const uint64_t kept = slot->load().pmem_offset();
+    ++header_reads;
+    if (version > EntryLayout::RecordVersion(pool_->Translate(kept))) {
+      drop(kept);
+      slot->store(TaggedPtr::FromPmem(offset));
     } else {
       drop(offset);
     }
   });
-  return best;
+  device_->stats().AddReadBatch(header_reads,
+                                header_reads * EntryLayout::kHeaderBytes);
+  return index;
 }
 
 void PipelinedStore::RebuildIndexLocked(uint64_t cp) {
   // Recovery per Section V-C: scan every entry record in PMem, discard
   // those newer than the Checkpointed Batch ID, keep the newest survivor
-  // per key, and rebuild the DRAM hash indexes.
+  // per key, and adopt the classification's indexes as the DRAM indexes.
   std::vector<uint64_t> discard;
-  const auto survivors = ClassifyRecordsLocked(cp, &discard);
+  std::vector<FlatIndex> index = ClassifyRecordsLocked(cp, &discard);
   FreeRecords(discard, "recover-gc");
-  // Fill one shard's index at a time: its table stays cache-resident.
-  std::vector<std::vector<std::pair<EntryId, uint64_t>>> per_shard(
-      shards_.size());
-  for (const auto& [key, record] : survivors) {
-    per_shard[ShardOf(key)].emplace_back(key, record.offset);
-  }
+  uint64_t survivors = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    FlatIndex& index = shards_[s].index;
-    index.Reserve(per_shard[s].size());
-    for (const auto& [key, offset] : per_shard[s]) {
-      index.Upsert(key, TaggedPtr::FromPmem(offset));
-      dram_stats_.AddWrite(sizeof(EntryId) + sizeof(TaggedPtr));
-    }
+    survivors += index[s].Size();
+    shards_[s].index = std::move(index[s]);
   }
+  dram_stats_.AddWriteBatch(survivors,
+                            survivors * (sizeof(EntryId) + sizeof(TaggedPtr)));
 }
 
 Status PipelinedStore::ExportCheckpoint(ckpt::CheckpointLog* log) {
@@ -148,10 +149,13 @@ Status PipelinedStore::ExportCheckpoint(ckpt::CheckpointLog* log) {
   // The backup is exactly the record set recovery would restore: per key,
   // the newest record <= cp.
   ckpt::CheckpointLog::ChunkWriter writer(log, cp);
-  for (const auto& [key, record] :
+  for (const FlatIndex& index :
        ClassifyRecordsLocked(cp, /*discard=*/nullptr)) {
-    if (!writer.ok()) break;
-    device_->Read(record.offset, writer.Next(), layout_.record_bytes());
+    index.ForEach([&](EntryId, TaggedPtr record) {
+      if (!writer.ok()) return;
+      device_->Read(record.pmem_offset(), writer.Next(),
+                    layout_.record_bytes());
+    });
   }
   return writer.Finish();
 }

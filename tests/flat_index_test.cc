@@ -39,6 +39,13 @@ TEST(FlatIndexTest, InsertFindUpdateEraseClear) {
   EXPECT_EQ(kv.Size(), 1u);
   EXPECT_EQ(kv.Find(42)->load().pmem_offset(), Val(2).pmem_offset());
 
+  // Insert of an existing key keeps its value and reports no insert.
+  auto [kept, inserted] = kv.Insert(42, Val(9));
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(kept, kv.Find(42));
+  EXPECT_EQ(kept->load().pmem_offset(), Val(2).pmem_offset());
+  EXPECT_EQ(kv.Size(), 1u);
+
   // The slot is an atomic the push path stores through directly.
   kv.Find(42)->store(Val(3));
   EXPECT_EQ(kv.Find(42)->load().pmem_offset(), Val(3).pmem_offset());
@@ -52,9 +59,11 @@ TEST(FlatIndexTest, InsertFindUpdateEraseClear) {
   kv.Clear();
   EXPECT_EQ(kv.Size(), 0u);
   for (EntryId k = 1; k <= 10; ++k) EXPECT_EQ(kv.Find(k), nullptr);
-  // And the index is reusable after Clear.
+  // And the index is reusable after Clear; Insert of an absent key inserts.
   ASSERT_NE(kv.Upsert(7, Val(7)), nullptr);
-  EXPECT_EQ(kv.Size(), 1u);
+  EXPECT_TRUE(kv.Insert(8, Val(8)).second);
+  EXPECT_EQ(kv.Find(8)->load().pmem_offset(), Val(8).pmem_offset());
+  EXPECT_EQ(kv.Size(), 2u);
 }
 
 TEST(FlatIndexTest, GrowthKeepsEveryKeyFindable) {

@@ -5,10 +5,14 @@
 #include <map>
 #include <numeric>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "ckpt/checkpoint_log.h"
 #include "common/random.h"
 #include "pmem/device.h"
+#include "pmem/pool.h"
+#include "pmem/slab_allocator.h"
 #include "storage/dram_store.h"
 #include "storage/ori_cache_store.h"
 #include "storage/pipelined_store.h"
@@ -617,6 +621,231 @@ TEST_F(PipelinedStoreTest, MultiGetMixesUnknownKeysWithSnapshotReads) {
       EXPECT_EQ(found[i], 1) << "key " << keys[i];
       EXPECT_EQ(row, expected->second) << "key " << keys[i];
     }
+  }
+}
+
+TEST_F(PipelinedStoreTest, ExportSkipsRecordsNewerThanCheckpoint) {
+  // Every known key holds its checkpoint-1 record and a newer flushed one
+  // that the GC keeps until a later checkpoint publishes; the fresh keys
+  // hold only records newer than checkpoint 1.
+  const size_t capacity = store_->CacheCapacityEntries();
+  std::vector<EntryId> known(capacity / 2);
+  std::iota(known.begin(), known.end(), 0);
+  RunBatch(1, known, 0.1f);
+  ASSERT_TRUE(store_->RequestCheckpoint(1).ok());
+  ASSERT_TRUE(store_->DrainCheckpoints().ok());
+  std::map<EntryId, std::vector<float>> at_checkpoint;
+  for (EntryId key : known) at_checkpoint[key] = store_->Peek(key).ValueOrDie();
+  RunBatch(2, known, 0.3f);
+  EntryId next = 1000;
+  for (uint64_t batch = 3; batch <= 5; ++batch) {
+    std::vector<EntryId> fresh(capacity);
+    std::iota(fresh.begin(), fresh.end(), next);
+    next += capacity;
+    RunBatch(batch, fresh, 0.0f);
+  }
+  store_->WaitMaintenance(5);
+  ASSERT_EQ(store_->PublishedCheckpoint(), 1u);
+  size_t records = 0;
+  store_->ForEachEntryRecord([&](uint64_t, uint64_t) { ++records; });
+  ASSERT_GT(records, known.size());
+
+  auto log_device = MakeDevice();
+  auto log = ckpt::CheckpointLog::Create(log_device.get(), EntryLayout(kDim, 0))
+                 .ValueOrDie();
+  ASSERT_TRUE(store_->ExportCheckpoint(log.get()).ok());
+  std::map<EntryId, size_t> copies;
+  ASSERT_TRUE(log->Replay(1, [&](EntryId key, uint64_t version,
+                                 const float* data) {
+                   ++copies[key];
+                   EXPECT_EQ(version, 1u) << key;
+                   auto want = at_checkpoint.find(key);
+                   ASSERT_NE(want, at_checkpoint.end()) << key;
+                   EXPECT_EQ(std::vector<float>(data, data + kDim),
+                             want->second)
+                       << key;
+                 })
+                  .ok());
+  EXPECT_EQ(copies.size(), known.size());
+  for (const auto& [key, n] : copies) EXPECT_EQ(n, 1u) << key;
+}
+
+// Recovery over a crafted image. The store starts empty; a checkpoint id
+// and committed records are then written into its pool through a second
+// slab allocator, and the store crashes and recovers. Several records
+// <= cp of one key are the copies a crash leaves behind when a snapshot
+// pin or an unpersisted free kept superseded records alive; records > cp
+// are an unpublished tail.
+class RecoveryClassificationTest : public PipelinedStoreTest {
+ protected:
+  static constexpr uint64_t kCp = 10;
+
+  // The weights of key's record at `version`.
+  static float Weight(EntryId key, uint64_t version) {
+    return static_cast<float>(key * 100 + version);
+  }
+
+  // The version recovery must keep: the newest <= kCp, or 0 for none.
+  static uint64_t NewestAtCheckpoint(const std::vector<uint64_t>& versions) {
+    uint64_t newest = 0;
+    for (uint64_t v : versions) {
+      if (v <= kCp) newest = std::max(newest, v);
+    }
+    return newest;
+  }
+
+  pmem::SlabAllocatorOptions SlabOptions() const {
+    pmem::SlabAllocatorOptions options;
+    options.lanes = static_cast<uint32_t>(store_->NumShards());
+    return options;
+  }
+
+  // Publishes kCp and commits a record per listed version of each key.
+  // Keys take turns, so one key's records are not written back to back.
+  void WriteImage(const std::map<EntryId, std::vector<uint64_t>>& image) {
+    auto pool = pmem::PmemPool::Open(device_.get()).ValueOrDie();
+    pool->RootSet(PipelinedStore::kRootCheckpointId, kCp);
+    auto slab =
+        pmem::SlabAllocator::Attach(pool.get(), SlabOptions()).ValueOrDie();
+    const EntryLayout layout(kDim, 0);
+    std::vector<uint8_t> record(layout.record_bytes());
+    for (size_t turn = 0;; ++turn) {
+      bool wrote = false;
+      for (const auto& [key, versions] : image) {
+        if (turn >= versions.size()) continue;
+        EntryLayout::SetRecordHeader(record.data(), key, versions[turn]);
+        float* data = EntryLayout::RecordData(record.data());
+        std::fill(data, data + kDim, Weight(key, versions[turn]));
+        ASSERT_TRUE(slab->AllocWrite(record.data(), record.size(),
+                                     static_cast<uint32_t>(
+                                         store_->ShardOfKey(key)))
+                        .ok());
+        wrote = true;
+      }
+      if (!wrote) break;
+    }
+  }
+
+  // The PMem reads a recovery makes besides the record headers: the pool
+  // reopen, the checkpoint root, the slab attach and its bitmap scan.
+  pmem::DeviceStats::Snapshot ScanReads() {
+    const auto before = device_->stats().TakeSnapshot();
+    {
+      auto pool = pmem::PmemPool::Open(device_.get()).ValueOrDie();
+      pool->RootGet(PipelinedStore::kRootCheckpointId);
+      auto slab =
+          pmem::SlabAllocator::Attach(pool.get(), SlabOptions()).ValueOrDie();
+      slab->ForEachAllocated([](uint64_t, uint64_t) {});
+    }
+    return device_->stats().TakeSnapshot() - before;
+  }
+
+  // Crashes and recovers; returns the PMem and DRAM charges of the
+  // RecoverFromCrash call.
+  std::pair<pmem::DeviceStats::Snapshot, pmem::DeviceStats::Snapshot>
+  CrashAndRecover() {
+    device_->SimulateCrash();
+    const auto pmem_before = device_->stats().TakeSnapshot();
+    const auto dram_before = store_->dram_stats().TakeSnapshot();
+    EXPECT_TRUE(store_->RecoverFromCrash().ok());
+    return {device_->stats().TakeSnapshot() - pmem_before,
+            store_->dram_stats().TakeSnapshot() - dram_before};
+  }
+
+  size_t LiveRecords() const {
+    size_t live = 0;
+    store_->ForEachEntryRecord([&](uint64_t, uint64_t) { ++live; });
+    return live;
+  }
+};
+
+TEST_F(RecoveryClassificationTest, KeepsNewestRecordAtOrBelowCheckpoint) {
+  ASSERT_EQ(store_->NumShards(), 16u);
+  // Each key's versions in write order: below, at and above cp in both
+  // orders, two below in both orders, only above, and one alone.
+  const std::vector<std::vector<uint64_t>> patterns = {
+      {kCp - 3, kCp, kCp + 2}, {kCp + 2, kCp, kCp - 3}, {kCp - 1, kCp - 4},
+      {kCp - 4, kCp - 1},      {kCp + 1, kCp + 5},      {kCp - 2}};
+  std::map<EntryId, std::vector<uint64_t>> image;
+  for (EntryId key = 0; key < 96; ++key) {
+    image[key] = patterns[key % patterns.size()];
+  }
+  WriteImage(image);
+  CrashAndRecover();
+  EXPECT_EQ(store_->PublishedCheckpoint(), kCp);
+
+  std::map<EntryId, uint64_t> kept;
+  for (const auto& [key, versions] : image) {
+    const uint64_t newest = NewestAtCheckpoint(versions);
+    auto got = store_->Peek(key);
+    if (newest == 0) {
+      EXPECT_FALSE(got.ok()) << key;
+      continue;
+    }
+    kept[key] = newest;
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_EQ(got.value(), std::vector<float>(kDim, Weight(key, newest)))
+        << key;
+  }
+  EXPECT_EQ(store_->EntryCount(), kept.size());
+  // Every discarded record was freed.
+  EXPECT_EQ(LiveRecords(), kept.size());
+
+  auto log_device = MakeDevice();
+  auto log = ckpt::CheckpointLog::Create(log_device.get(), EntryLayout(kDim, 0))
+                 .ValueOrDie();
+  ASSERT_TRUE(store_->ExportCheckpoint(log.get()).ok());
+  std::map<EntryId, uint64_t> exported;
+  ASSERT_TRUE(log->Replay(kCp, [&](EntryId key, uint64_t version,
+                                   const float* data) {
+                   EXPECT_TRUE(exported.emplace(key, version).second) << key;
+                   EXPECT_EQ(data[0], Weight(key, version)) << key;
+                 })
+                  .ok());
+  EXPECT_EQ(exported, kept);
+}
+
+TEST_F(RecoveryClassificationTest, ChargesOneHeaderReadPerRecord) {
+  constexpr uint64_t kHeader = EntryLayout::kHeaderBytes;
+  constexpr uint64_t kSlot = sizeof(EntryId) + sizeof(cache::TaggedPtr);
+  // No duplicates: one header read per record, one index write per key.
+  std::map<EntryId, std::vector<uint64_t>> image;
+  for (EntryId key = 0; key < 64; ++key) image[key] = {kCp - 2};
+  WriteImage(image);
+  auto scan = ScanReads();
+  auto [pmem, dram] = CrashAndRecover();
+  EXPECT_EQ(pmem.read_ops, scan.read_ops + 64);
+  EXPECT_EQ(pmem.read_bytes, scan.read_bytes + 64 * kHeader);
+  EXPECT_EQ(dram.write_ops, 64u);
+  EXPECT_EQ(dram.write_bytes, 64 * kSlot);
+  EXPECT_EQ(dram.read_ops, 0u);
+
+  // A second record per key: older, newer than cp, newer but <= cp, or
+  // none. Each second record <= cp re-reads the kept record's header; each
+  // discarded record costs its Free one bitmap-word read.
+  std::map<EntryId, std::vector<uint64_t>> extra;
+  for (EntryId key = 0; key < 64; ++key) {
+    if (key % 4 == 0) extra[key] = {kCp - 5};
+    if (key % 4 == 1) extra[key] = {kCp + 3};
+    if (key % 4 == 2) extra[key] = {kCp};
+  }
+  WriteImage(extra);
+  scan = ScanReads();
+  std::tie(pmem, dram) = CrashAndRecover();
+  const uint64_t headers = 64 + 48;
+  const uint64_t rereads = 32;
+  const uint64_t frees = 48;
+  EXPECT_EQ(pmem.read_ops, scan.read_ops + headers + rereads + frees);
+  EXPECT_EQ(pmem.read_bytes,
+            scan.read_bytes + (headers + rereads) * kHeader + frees * 8);
+  EXPECT_EQ(dram.write_ops, 64u);
+  EXPECT_EQ(dram.write_bytes, 64 * kSlot);
+  EXPECT_EQ(LiveRecords(), 64u);
+  for (EntryId key = 0; key < 64; ++key) {
+    const uint64_t want = key % 4 == 2 ? kCp : kCp - 2;
+    EXPECT_EQ(store_->Peek(key).ValueOrDie(),
+              std::vector<float>(kDim, Weight(key, want)))
+        << key;
   }
 }
 
